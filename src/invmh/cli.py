@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -57,6 +58,8 @@ def _get(section: dict, path: str, key: str, kind, required=True, default=None):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):

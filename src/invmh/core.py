@@ -11,7 +11,7 @@ Every sampler in this package is expressed in this form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +38,16 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """A kernel or chain was assembled from inconsistent pieces."""
+
+
+def require_finite(**parameters) -> None:
+    """Raise :class:`ConfigurationError` unless every given parameter (a
+    number or an array; ``None`` stands for "not set") is finite.  Kernel
+    constructors call it so that a NaN or infinite parameter fails when the
+    kernel is built, not as a chain that rejects every step."""
+    for name, value in parameters.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 class IntegrationError(RuntimeError):
@@ -103,23 +113,28 @@ class AuxiliaryKernel:
 
 @dataclass(frozen=True)
 class Involution:
-    """An involution of extended phase space with its log Radon-Nikodym
-    derivative.
+    """An involution ``S`` of extended phase space with its log
+    Radon-Nikodym derivative, stated as one function
+    ``apply_and_log_rn(z) -> (S(z), log_rn(z))``, so a trajectory is
+    integrated once per step.
 
     ``apply(apply(z)) == z`` up to tolerance, and
-    ``log_rn(z) + log_rn(apply(z)) == 0`` wherever both are finite.
-    ``apply_and_log_rn``, when provided, computes both in one pass; chains use
-    it to avoid integrating a trajectory twice per step.
+    ``log_rn(z) + log_rn(apply(z)) == 0`` wherever both are finite.  Every
+    sampler of the package is one such function: MALA, HMC and
+    relativistic HMC are surrogate HMC with exact forces, RWMC is a pure
+    drift ``(q, v) -> (q + v, v)`` followed by the momentum flip.
     """
 
-    apply: Callable[[ExtendedPoint], ExtendedPoint]
-    log_rn: Callable[[ExtendedPoint], float]
-    apply_and_log_rn: Callable[[ExtendedPoint], tuple[ExtendedPoint, float]] | None = None
+    apply_and_log_rn: Callable[[ExtendedPoint], tuple[ExtendedPoint, float]]
 
     def step(self, z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
-        if self.apply_and_log_rn is not None:
-            return self.apply_and_log_rn(z)
-        return self.apply(z), self.log_rn(z)
+        return self.apply_and_log_rn(z)
+
+    def apply(self, z: ExtendedPoint) -> ExtendedPoint:
+        return self.apply_and_log_rn(z)[0]
+
+    def log_rn(self, z: ExtendedPoint) -> float:
+        return self.apply_and_log_rn(z)[1]
 
 
 @dataclass(frozen=True)
@@ -198,7 +213,7 @@ def _step(
     # Overflow inside a proposal map produces inf/nan and a rejection, not a
     # crash.
     try:
-        image, log_rn = kernel.involution.step(z)
+        image, log_rn = kernel.involution.apply_and_log_rn(z)
         proposal = np.asarray(image.q, dtype=float)
         alpha = accept_prob(log_rn)
     except IntegrationError:
@@ -323,22 +338,18 @@ def classic_mh_kernel(
     proposal density (supplied in log form).
     """
 
-    def log_rn(z: ExtendedPoint) -> float:
+    def swap(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         forward = log_p(z.v) + log_proposal_density(z.v, z.q)
         backward = log_p(z.q) + log_proposal_density(z.q, z.v)
-        return forward - backward
+        return ExtendedPoint(z.v, z.q), forward - backward
 
-    involution = Involution(
-        apply=lambda z: ExtendedPoint(z.v, z.q),
-        log_rn=log_rn,
-    )
     return InvolutiveKernel(
         target=TargetPotential(eval=lambda q: -float(log_p(q))),
         aux=AuxiliaryKernel(
             sample=proposal_sampler,
             log_density_terms=lambda q, v: float(log_proposal_density(q, v)),
         ),
-        involution=involution,
+        involution=Involution(swap),
         dim=dim,
         name="classic_mh",
     )
@@ -354,8 +365,9 @@ def mixture_step(
 
     A component ``j`` is drawn from ``weights(q)``; its acceptance ratio
     carries the extra factor ``weights(q_new)[j] / weights(q)[j]`` so that
-    the compound kernel stays reversible.  Constant weights reduce to the
-    plain per-kernel step.
+    the compound kernel stays reversible.  The step is :func:`mh_step`'s on
+    that component, with the log of this factor added to its log-RN.
+    Constant weights reduce to the plain per-kernel step.
     """
     if len(kernels) == 0:
         raise ConfigurationError("mixture requires at least one kernel")
@@ -365,25 +377,12 @@ def mixture_step(
         raise ConfigurationError("weights(q) must be a probability vector over the kernels")
     j = int(rng.choice(len(kernels), p=w))
     kernel = kernels[j]
-    v = kernel.aux.sample(q, rng)
-    z = ExtendedPoint(q, np.asarray(v, dtype=float))
+    component = kernel.involution.apply_and_log_rn
+
+    def with_weight_ratio(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
+        image, log_rn = component(z)
+        w_new = np.asarray(weights(np.asarray(image.q, dtype=float)), dtype=float)[j]
+        return image, log_rn + float(np.log(w_new) - np.log(w[j]))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            image, log_rn = kernel.involution.step(z)
-            proposal = np.asarray(image.q, dtype=float)
-            w_prop = np.asarray(weights(proposal), dtype=float)[j]
-            log_kappa_ratio = np.log(w_prop) - np.log(w[j])
-            alpha = accept_prob(log_rn + float(log_kappa_ratio))
-        except IntegrationError:
-            proposal = q
-            alpha = 0.0
-    if not np.isfinite(proposal).all():
-        alpha = 0.0
-    u = rng.uniform()
-    accepted = u < alpha
-    return StepResult(
-        proposal=proposal,
-        alpha=alpha,
-        accepted=accepted,
-        next=proposal if accepted else q,
-    )
+        return _step(replace(kernel, involution=Involution(with_weight_ratio)), q, rng, {})

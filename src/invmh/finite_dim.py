@@ -6,13 +6,16 @@ Each constructor wires a proposal integrator, the matching auxiliary law and
 the closed-form log Radon-Nikodym derivative into an
 :class:`~invmh.core.InvolutiveKernel`.  For volume-preserving integrators the
 log-RN is the energy difference ``H(z) - H(S(z))``; the general path adds the
-numerically computed ``log |det grad S_hat|``.
+numerically computed ``log |det grad S_hat|``.  MALA, HMC and relativistic
+HMC are :func:`surrogate_hmc` with the exact force and their own momentum
+law; RWMC is the pure drift ``(q, v) -> (q + v, v)`` with the same energy
+form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +27,7 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    require_finite,
 )
 from . import integrators
 from .integrators import (
@@ -31,7 +35,6 @@ from .integrators import (
     FixedPointError,
     SurrogateField,
     leapfrog,
-    momentum_flip,
     numerical_logdet_jacobian,
     palindromic_compose,
     stormer_verlet,  # noqa: F401  perfbench/tracing.py wraps finite_dim.stormer_verlet
@@ -78,6 +81,9 @@ class HmcConfig:
     mass: np.ndarray | None = None
 
     def __post_init__(self):
+        require_finite(
+            delta=self.delta, delta1=self.delta1, delta2=self.delta2, mass=self.mass
+        )
         if self.n < 1:
             raise ConfigurationError("number of integrator iterations must be >= 1")
         if self.delta1 is None and self.delta <= 0:
@@ -89,33 +95,41 @@ class HmcConfig:
         return float(d1), float(d2)
 
 
-class _Mass:
-    """Factorized mass matrix: sampling via the factor, inverse application
-    precomputed once."""
+class _SPD:
+    """A symmetric positive definite matrix ``A``, factorized once: the
+    identity (``value=None``), a positive vector (diagonal) or a dense
+    matrix.  It draws from N(0, A) and gives ``A^{-1} v``, the half
+    quadratic form ``<A^{-1} v, v> / 2`` and the half log-determinant.
 
-    def __init__(self, mass: np.ndarray | None, dim: int):
+    ``error`` is raised when ``value`` is not SPD (a NaN diagonal entry is
+    not positive) or not of dimension ``dim``: :class:`ConfigurationError`
+    for a constant mass, which fails at construction, :class:`DivergenceError`
+    for a metric, which rejects the step that met it.  A constant mass is
+    checked for finiteness where it enters; a non-finite metric entry makes
+    the energy non-finite, which rejects the step."""
+
+    def __init__(self, value: np.ndarray | None, dim: int, error: type[Exception]):
         self.dim = dim
-        if mass is None:
+        self._half_logdet = None
+        if value is None:
             self.kind = "identity"
             return
-        mass = np.asarray(mass, dtype=float)
-        if mass.ndim == 1:
-            if mass.shape != (dim,) or np.any(mass <= 0):
-                raise ConfigurationError("diagonal mass must be positive with matching dimension")
+        value = np.asarray(value, dtype=float)
+        if value.ndim == 1:
+            if value.shape != (dim,) or not value.min() > 0:
+                raise error(f"diagonal matrix is not positive and of shape ({dim},)")
             self.kind = "diagonal"
-            self.diag = mass
-            self.sqrt_diag = np.sqrt(mass)
-        elif mass.ndim == 2:
-            if mass.shape != (dim, dim):
-                raise ConfigurationError("dense mass must be (d, d)")
+            self.diag = value
+            self.sqrt_diag = np.sqrt(value)
+        elif value.shape == (dim, dim):
             try:
-                self.chol = np.linalg.cholesky(mass)
+                self.chol = np.linalg.cholesky(value)
             except np.linalg.LinAlgError as exc:
-                raise ConfigurationError("mass matrix is not positive definite") from exc
+                raise error("matrix is not positive definite") from exc
             self.kind = "dense"
-            self.inv = np.linalg.inv(mass)
+            self.inv = np.linalg.inv(value)
         else:
-            raise ConfigurationError("mass must be a vector or a matrix")
+            raise error(f"expected a ({dim},) vector or a ({dim}, {dim}) matrix")
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         xi = rng.standard_normal(self.dim)
@@ -135,14 +149,27 @@ class _Mass:
     def half_quad(self, v: np.ndarray) -> float:
         return 0.5 * float(v @ self.inv_apply(v))
 
+    def half_logdet(self) -> float:
+        """Of a diagonal or dense matrix; computed once."""
+        if self._half_logdet is None:
+            if self.kind == "diagonal":
+                self._half_logdet = 0.5 * float(np.log(self.diag).sum())
+            else:
+                self._half_logdet = float(np.log(np.diag(self.chol)).sum())
+        return self._half_logdet
+
+
+def _momentum_law(mass: _SPD) -> AuxiliaryKernel:
+    return AuxiliaryKernel(
+        sample=lambda q, rng: mass.sample(rng),
+        log_density_terms=lambda q, v: -mass.half_quad(v),
+    )
+
 
 def gaussian_momentum(dim: int, mass: np.ndarray | None = None) -> AuxiliaryKernel:
     """Position-independent Gaussian momentum law N(0, M)."""
-    m = _Mass(mass, dim)
-    return AuxiliaryKernel(
-        sample=lambda q, rng: m.sample(rng),
-        log_density_terms=lambda q, v: -m.half_quad(v),
-    )
+    require_finite(mass=mass)
+    return _momentum_law(_SPD(mass, dim, ConfigurationError))
 
 
 def _energy_involution(
@@ -158,22 +185,15 @@ def _energy_involution(
     that moves there reuses what was computed at it.
     """
 
-    def apply(z: ExtendedPoint) -> ExtendedPoint:
-        image = momentum_flip(integrator(z))
-        return image if image.memo is not None else image._replace(memo={})
-
-    def apply_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
-        image = apply(z)
+    def flip_and_energy(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
+        end = integrator(z)
+        image = ExtendedPoint(end.q, -end.v, {} if end.memo is None else end.memo)
         value = hamiltonian(z) - hamiltonian(image)
         if logdet is not None:
             value += logdet(z)
         return image, value
 
-    return Involution(
-        apply=apply,
-        log_rn=lambda z: apply_and_log_rn(z)[1],
-        apply_and_log_rn=apply_and_log_rn,
-    )
+    return Involution(flip_and_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +211,7 @@ class JumpKinetic:
 def gaussian_jump(dim: int, scale=1.0) -> JumpKinetic:
     """Isotropic (or per-coordinate) Gaussian jump kinetic."""
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (dim,)).copy()
+    require_finite(scale=scale)
     if np.any(scale <= 0):
         raise ConfigurationError("jump scale must be positive")
     return JumpKinetic(
@@ -205,33 +226,20 @@ def rwmc(
     jump: JumpKinetic | None = None,
     scale=1.0,
 ) -> InvolutiveKernel:
-    """Random walk Metropolis via the involution ``S(q, v) = (q + v, -v)``.
+    """Random walk Metropolis via the involution ``S(q, v) = (q + v, -v)``:
+    the drift ``(q, v) -> (q + v, v)`` followed by the momentum flip.
 
-    The acceptance ratio is
-    ``1 ∧ exp(U(q) - U(q + v) + K(v) - K(-v))``; for symmetric jump kinetics
+    The acceptance ratio is the energy difference
+    ``1 ∧ exp(U(q) + K(v) - U(q + v) - K(-v))``; for symmetric jump kinetics
     the K terms cancel and the classical Metropolis rule remains.
     """
     if jump is None:
         jump = gaussian_jump(dim, scale)
 
-    def apply(z: ExtendedPoint) -> ExtendedPoint:
-        return ExtendedPoint(z.q + z.v, -z.v, {})
+    def hamiltonian(z: ExtendedPoint) -> float:
+        return z.cached(target.eval) + jump.kinetic(z.v)
 
-    def apply_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
-        image = apply(z)
-        value = (
-            z.cached(target.eval)
-            - image.cached(target.eval)
-            + jump.kinetic(z.v)
-            - jump.kinetic(-z.v)
-        )
-        return image, value
-
-    involution = Involution(
-        apply=apply,
-        log_rn=lambda z: apply_and_log_rn(z)[1],
-        apply_and_log_rn=apply_and_log_rn,
-    )
+    involution = _energy_involution(hamiltonian, lambda z: ExtendedPoint(z.q + z.v, z.v))
     aux = AuxiliaryKernel(
         sample=lambda q, rng: jump.sample(rng),
         log_density_terms=lambda q, v: -jump.kinetic(v),
@@ -249,26 +257,9 @@ def _require_grad(target: TargetPotential) -> Callable[[np.ndarray], np.ndarray]
     return target.grad
 
 
-def _quadratic_hmc_kernel(
-    target: TargetPotential, cfg: HmcConfig, dim: int, name: str
-) -> InvolutiveKernel:
+def _exact_force(target: TargetPotential) -> Callable[[np.ndarray], np.ndarray]:
     grad = _require_grad(target)
-    mass = _Mass(cfg.mass, dim)
-    d1, d2 = cfg.steps()
-    f1 = mass.inv_apply
-    f2 = lambda q: -np.asarray(grad(q), dtype=float)
-
-    def hamiltonian(z: ExtendedPoint) -> float:
-        return z.cached(target.eval) + mass.half_quad(z.v)
-
-    involution = _energy_involution(
-        hamiltonian, lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
-    )
-    aux = AuxiliaryKernel(
-        sample=lambda q, rng: mass.sample(rng),
-        log_density_terms=lambda q, v: -mass.half_quad(v),
-    )
-    return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name=name)
+    return lambda q: -np.asarray(grad(q), dtype=float)
 
 
 def mala(target: TargetPotential, delta: float, dim: int) -> InvolutiveKernel:
@@ -278,9 +269,9 @@ def mala(target: TargetPotential, delta: float, dim: int) -> InvolutiveKernel:
     The proposal is the explicit Euler-Maruyama move
     ``q - (delta^2/2) grad U(q) + delta v`` with ``v ~ N(0, I)``, and the
     energy-difference acceptance coincides with the classical MALA ratio.
+    It is :func:`hmc` with ``n = 1`` and unit mass.
     """
-    cfg = HmcConfig(delta=delta, n=1)
-    return _quadratic_hmc_kernel(target, cfg, dim, name="mala")
+    return replace(hmc(target, HmcConfig(delta=delta), dim), name="mala")
 
 
 def mala_log_accept_ratio(
@@ -305,8 +296,14 @@ def hmc(target: TargetPotential, cfg: HmcConfig, dim: int) -> InvolutiveKernel:
 
     Leapfrog trajectories of ``H = U(q) + <M^{-1} v, v>/2``; since the
     integrator is volume-preserving and H is even in ``v``, the acceptance
-    probability is ``1 ∧ exp(H(z) - H(S_hat(z)))``."""
-    return _quadratic_hmc_kernel(target, cfg, dim, name="hmc")
+    probability is ``1 ∧ exp(H(z) - H(S_hat(z)))``.  It is
+    :func:`surrogate_hmc` with the exact force ``-grad U`` and momenta
+    N(0, M)."""
+    mass = _SPD(cfg.mass, dim, ConfigurationError)
+    return surrogate_hmc(
+        target, _momentum_law(mass), cfg, f1=mass.inv_apply, f2=_exact_force(target),
+        dim=dim, name="hmc",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +363,20 @@ def relativistic_hmc(
 
     The drift field is the kinetic gradient ``grad K``, an odd function, so
     the leapfrog stays momentum-flip reversible and the energy-difference
-    acceptance applies with ``H = U + K``."""
+    acceptance applies with ``H = U + K``.  It is :func:`surrogate_hmc` with
+    the exact force and momenta of density proportional to ``exp(-K)``."""
+    require_finite(m=m, c=c)
     if m <= 0 or c <= 0:
         raise ConfigurationError("relativistic parameters m, c must be positive")
-    grad = _require_grad(target)
-    d1, d2 = cfg.steps()
-    f1 = lambda v: relativistic_kinetic_grad(m, c, v)
-    f2 = lambda q: -np.asarray(grad(q), dtype=float)
-
-    def hamiltonian(z: ExtendedPoint) -> float:
-        return z.cached(target.eval) + relativistic_kinetic(m, c, z.v)
-
-    involution = _energy_involution(
-        hamiltonian, lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
-    )
+    force = _exact_force(target)
     sampler = _relativistic_momentum_sampler(dim, m, c)
     aux = AuxiliaryKernel(
         sample=lambda q, rng: sampler(rng),
         log_density_terms=lambda q, v: -relativistic_kinetic(m, c, v),
     )
-    return InvolutiveKernel(
-        target=target, aux=aux, involution=involution, dim=dim, name="relativistic_hmc"
+    return surrogate_hmc(
+        target, aux, cfg, f1=lambda v: relativistic_kinetic_grad(m, c, v), f2=force,
+        dim=dim, name="relativistic_hmc",
     )
 
 
@@ -417,52 +407,6 @@ def diagonal_quadratic_metric() -> PositionMetric:
         grad_quad_form=lambda q, v: -(v**2) * q / (1.0 + q**2) ** 2,
         grad_half_logdet=lambda q: q / (1.0 + q**2),
     )
-
-
-class _MetricOps:
-    """Evaluate M(q) once and expose the solves the trajectory needs.
-
-    Raises :class:`DivergenceError` when M(q) stops being SPD at a point
-    visited by the integrator (the step is then rejected)."""
-
-    def __init__(self, value: np.ndarray):
-        self._half_logdet = None
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 1:
-            if not value.min() > 0:
-                raise DivergenceError("metric lost positive definiteness")
-            self.diag = value
-            self.dense = None
-        else:
-            try:
-                self.chol = np.linalg.cholesky(value)
-            except np.linalg.LinAlgError as exc:
-                raise DivergenceError("metric lost positive definiteness") from exc
-            self.dense = value
-            self.diag = None
-            self.inv = np.linalg.inv(value)
-
-    def inv_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.diag is not None:
-            return v / self.diag
-        return self.inv @ v
-
-    def half_quad(self, v: np.ndarray) -> float:
-        return 0.5 * float(v @ self.inv_apply(v))
-
-    def half_logdet(self) -> float:
-        if self._half_logdet is None:
-            if self.diag is not None:
-                self._half_logdet = 0.5 * float(np.log(self.diag).sum())
-            else:
-                self._half_logdet = float(np.log(np.diag(self.chol)).sum())
-        return self._half_logdet
-
-    def sample(self, rng: np.random.Generator, dim: int) -> np.ndarray:
-        xi = rng.standard_normal(dim)
-        if self.diag is not None:
-            return np.sqrt(self.diag) * xi
-        return self.chol @ xi
 
 
 def _spread(dim: int, shift: float) -> np.ndarray:
@@ -516,6 +460,7 @@ def rmhmc(
     ``dim``; otherwise both by fixed-point iteration.
     """
     grad = _require_grad(target)
+    require_finite(delta=delta)
     if delta <= 0 or n < 1:
         raise ConfigurationError("rmhmc requires delta > 0 and n >= 1")
 
@@ -540,8 +485,8 @@ def rmhmc(
             value = memo[fn] = fn(q)
         return value
 
-    def metric_ops(q: np.ndarray) -> _MetricOps:
-        return _MetricOps(metric.matrix(q))
+    def metric_ops(q: np.ndarray) -> _SPD:
+        return _SPD(metric.matrix(q), dim, DivergenceError)
 
     def static_force(q: np.ndarray) -> np.ndarray:
         """The part of ``-f2(q, v)`` that does not depend on ``v``."""
@@ -613,13 +558,8 @@ def rmhmc(
         return z.cached(target.eval) + ops.half_quad(z.v) + ops.half_logdet()
 
     def sample(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        try:
-            ops = metric_ops(q)
-        except DivergenceError as exc:
-            raise ConfigurationError(
-                "metric is not positive definite at the current state"
-            ) from exc
-        return ops.sample(rng, dim)
+        # Not SPD at the current state: the chain cannot step from here.
+        return _SPD(metric.matrix(q), dim, ConfigurationError).sample(rng)
 
     def log_density_terms(q: np.ndarray, v: np.ndarray) -> float:
         ops = metric_ops(q)

@@ -27,6 +27,7 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    require_finite,
 )
 from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .integrators import DivergenceError, momentum_flip, strang_hilbert
@@ -164,33 +165,37 @@ def hilbert_log_rn(
     return hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
 
 
-def _strang_involution(
-    target: HilbertTarget, aux: AuxLaw, delta1: float, delta2: float, n: int
-) -> Involution:
+def _hilbert_kernel(
+    target: HilbertTarget,
+    aux: AuxLaw,
+    apply_and_log_rn: Callable[[ExtendedPoint], tuple[ExtendedPoint, float]],
+    name: str,
+) -> InvolutiveKernel:
+    ref = target.reference
+    return InvolutiveKernel(
+        target=target.phi,
+        aux=AuxiliaryKernel(
+            sample=lambda q, rng: aux.sample(ref, q, rng),
+            log_density_terms=lambda q, v: -aux.h_tilde(ref, q, v),
+        ),
+        involution=Involution(apply_and_log_rn),
+        dim=target.dim,
+        name=name,
+    )
+
+
+def _strang_kernel(
+    target: HilbertTarget, aux: AuxLaw, delta1: float, delta2: float, n: int, name: str
+) -> InvolutiveKernel:
+    """``flip . strang`` with the closed-form log-RN of its trajectory."""
     f = target.force()
 
-    def apply(z: ExtendedPoint) -> ExtendedPoint:
-        endpoint, _ = strang_hilbert(n, delta1, delta2, f, z)
-        return momentum_flip(endpoint)
-
-    def apply_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
+    def strang_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         endpoint, trajectory = strang_hilbert(n, delta1, delta2, f, z)
         value = hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
         return momentum_flip(endpoint), value
 
-    return Involution(
-        apply=apply,
-        log_rn=lambda z: apply_and_log_rn(z)[1],
-        apply_and_log_rn=apply_and_log_rn,
-    )
-
-
-def _aux_kernel(target: HilbertTarget, aux: AuxLaw) -> AuxiliaryKernel:
-    ref = target.reference
-    return AuxiliaryKernel(
-        sample=lambda q, rng: aux.sample(ref, q, rng),
-        log_density_terms=lambda q, v: -aux.h_tilde(ref, q, v),
-    )
+    return _hilbert_kernel(target, aux, strang_and_log_rn, name)
 
 
 def rho_from_delta(delta: float) -> float:
@@ -218,28 +223,16 @@ def pcn(
     The rotation preserves the Gaussian product measure, so the acceptance
     probability is ``1 ∧ exp(phi(q) - phi(q'))`` only.
     """
-    value = _resolve_rho(rho, delta)
-    angle = math.acos(value)
-    aux = AuxLaw()
-    kernel_aux = _aux_kernel(target, aux)
+    c = _resolve_rho(rho, delta)
+    s = math.sin(math.acos(c))
     phi = target.phi
 
-    def apply(z: ExtendedPoint) -> ExtendedPoint:
-        c, s = value, math.sin(angle)
-        return ExtendedPoint(c * z.q + s * z.v, -(-s * z.q + c * z.v))
+    def rotate(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
+        # phi is read through the memo: one evaluation per step, at the image.
+        image = ExtendedPoint(c * z.q + s * z.v, -(-s * z.q + c * z.v), {})
+        return image, z.cached(phi.eval) - image.cached(phi.eval)
 
-    def apply_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
-        image = apply(z)
-        return image, phi.eval(z.q) - phi.eval(image.q)
-
-    involution = Involution(
-        apply=apply,
-        log_rn=lambda z: apply_and_log_rn(z)[1],
-        apply_and_log_rn=apply_and_log_rn,
-    )
-    return InvolutiveKernel(
-        target=phi, aux=kernel_aux, involution=involution, dim=target.dim, name="pcn"
-    )
+    return _hilbert_kernel(target, AuxLaw(), rotate, "pcn")
 
 
 def log_beta(
@@ -268,20 +261,13 @@ def langevin_log_accept_ratio(
 
 
 def _langevin_kernel(target: HilbertTarget, delta: float, name: str) -> InvolutiveKernel:
+    require_finite(delta=delta)
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
     rho = rho_from_delta(delta)
     delta1 = math.sqrt(delta) / 2.0
     delta2 = math.acos(rho)
-    aux = AuxLaw()
-    involution = _strang_involution(target, aux, delta1, delta2, n=1)
-    return InvolutiveKernel(
-        target=target.phi,
-        aux=_aux_kernel(target, aux),
-        involution=involution,
-        dim=target.dim,
-        name=name,
-    )
+    return _strang_kernel(target, AuxLaw(), delta1, delta2, 1, name)
 
 
 def inf_mala(target: HilbertTarget, delta: float) -> InvolutiveKernel:
@@ -314,18 +300,12 @@ def inf_hmc(
     scheme).  The classical instance uses ``delta1 = delta/2`` and
     ``delta2 = delta``; one step with the Langevin step sizes recovers the
     preconditioned MALA kernel."""
+    require_finite(delta1=delta1, delta2=delta2)
     if delta1 < 0:
         raise ConfigurationError("delta1 must be nonnegative")
     if delta2 is None:
         delta2 = 2.0 * delta1
-    involution = _strang_involution(target, aux, float(delta1), float(delta2), n)
-    return InvolutiveKernel(
-        target=target.phi,
-        aux=_aux_kernel(target, aux),
-        involution=involution,
-        dim=target.dim,
-        name="inf_hmc",
-    )
+    return _strang_kernel(target, aux, float(delta1), float(delta2), n, "inf_hmc")
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,11 @@ __all__ = [
     "ReversibilityReport",
 ]
 
-# An implicit solve returns an iterate whose distance from the exact solution,
-# in the max norm, is estimated to be at most FIXED_POINT_TOL; see
-# fixed_point_solve for the estimate.
+# An implicit solve stops once its last update, or an estimate of its distance
+# from the exact solution, is at most FIXED_POINT_TOL in the max norm (see
+# fixed_point_solve).  The rule bounds the last update; the distance is only
+# estimated, and was measured exceeding 1e-12 by up to 3.1x (3.13e-12 over
+# 10 012 Newton solves of RMHMC chains).
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 100
 # Largest distance between a Stormer-Verlet step's start and where its
@@ -187,7 +189,10 @@ def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
     solution ``theta / (1 - theta) |u|``, with
     ``theta = |u| / |previous update|``, is that small; no update is spent
     only to confirm convergence.  (A Newton solve's first update shrinks the
-    error much more than later ones do.)  Raises :class:`FixedPointError`
+    error much more than later ones do.)  The rule bounds the last update
+    by FIXED_POINT_TOL and only estimates the distance to the solution: over
+    10 012 Newton position solves of RMHMC chains (d = 2, delta 0.3 to 2)
+    the estimate was exceeded by up to 3.1x (3.13e-12).  Raises :class:`FixedPointError`
     after FIXED_POINT_MAX_ITER updates and :class:`DivergenceError` on a
     non-finite update.
     """

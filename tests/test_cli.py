@@ -200,6 +200,17 @@ class TestMain:
         assert main(["run", str(path)]) == 0
         assert (outdir / "summary.json").exists()
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, text):
+        # json.loads accepts NaN and Infinity; the run must not start.
+        config = rwmc_config(str(tmp_path / "out"), n_steps=20)
+        config["sampler"] = {"name": "mala", "delta": 0.5}
+        path = write_config(tmp_path, config)
+        path.write_text(path.read_text().replace("0.5", text))
+        assert main(["run", str(path)]) == 1
+        assert "sampler.delta" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err

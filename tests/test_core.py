@@ -51,16 +51,13 @@ def _always_accept_kernel(dim=1):
         sample=lambda q, rng: rng.standard_normal(dim),
         log_density_terms=lambda q, v: 0.0,
     )
-    involution = Involution(
-        apply=lambda z: ExtendedPoint(z.q + z.v, -z.v),
-        log_rn=lambda z: 0.0,
-    )
+    involution = Involution(lambda z: (ExtendedPoint(z.q + z.v, -z.v), 0.0))
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim)
 
 
 def _always_reject_kernel(dim=1):
     kernel = _always_accept_kernel(dim)
-    involution = Involution(apply=kernel.involution.apply, log_rn=lambda z: -math.inf)
+    involution = Involution(lambda z: (kernel.involution.apply(z), -math.inf))
     return InvolutiveKernel(
         target=kernel.target, aux=kernel.aux, involution=involution, dim=dim
     )
@@ -82,8 +79,10 @@ class TestMhStep:
             log_density_terms=lambda q, v: 0.0,
         )
         involution = Involution(
-            apply=lambda z: ExtendedPoint(z.q + z.v, -z.v),
-            log_rn=lambda z: target.eval(z.q) - target.eval(z.q + z.v),
+            lambda z: (
+                ExtendedPoint(z.q + z.v, -z.v),
+                target.eval(z.q) - target.eval(z.q + z.v),
+            )
         )
         kernel = InvolutiveKernel(target=target, aux=aux, involution=involution, dim=1)
         result = mh_step(kernel, np.zeros(1), rng)
@@ -285,10 +284,7 @@ class _FixedAux:
 
 class TestMixtureStep:
     def _shift_kernel(self, shift, log_rn_value=0.0):
-        involution = Involution(
-            apply=lambda z: ExtendedPoint(z.q + shift, -z.v),
-            log_rn=lambda z: log_rn_value,
-        )
+        involution = Involution(lambda z: (ExtendedPoint(z.q + shift, -z.v), log_rn_value))
         return InvolutiveKernel(
             target=TargetPotential(eval=lambda q: 0.0),
             aux=_FixedAux.make([0.0]),
@@ -332,6 +328,12 @@ class TestMixtureStep:
     def test_empty_kernel_list(self, rng):
         with pytest.raises(ConfigurationError):
             mixture_step([], lambda q: np.array([]), np.zeros(1), rng)
+
+    def test_dimension_mismatch(self, rng):
+        # The same check as mh_step's, not numpy's broadcasting error.
+        kernel = self._shift_kernel(np.array([1.0]))
+        with pytest.raises(ConfigurationError):
+            mixture_step([kernel], lambda q: np.array([1.0]), np.zeros(2), rng)
 
     def test_constant_weights_reduce_to_plain_alpha(self, rng):
         kernel = self._shift_kernel(np.array([1.0]), log_rn_value=math.log(0.7))

@@ -6,22 +6,30 @@ import pytest
 
 import invmh.finite_dim
 from invmh import (
+    AuxLaw,
+    ConfigurationError,
     ExtendedPoint,
     IntegrationError,
     FlowMap,
+    HilbertTarget,
     HmcConfig,
     PositionMetric,
     TargetPotential,
     accept_prob,
     diagonal_quadratic_metric,
+    gaussian_jump,
     gaussian_momentum,
+    gen_langevin,
     generic_log_rn,
     hmc,
+    inf_hmc,
+    inf_mala,
     kick,
     drift,
     mala,
     mala_log_accept_ratio,
     mh_step,
+    pcn,
     relativistic_hmc,
     rmhmc,
     run_chain,
@@ -33,6 +41,7 @@ from invmh.finite_dim import (
     relativistic_kinetic_grad,
     _relativistic_momentum_sampler,
 )
+from invmh.hilbert import default_hilbert_target
 from invmh.targets import anisotropic_gaussian, rosenbrock, standard_gaussian
 
 from conftest import assert_grad_consistent, point_norm
@@ -455,6 +464,61 @@ class TestWorkCounts:
         # along a probe direction at each new position, D at the two Newton
         # starts, and the last kick.
         assert calls["grad_quad_form"] == 5 * n + 2
+
+    def test_pcn(self):
+        # phi is read through the memo: once at the start, then once per
+        # step at the proposal.
+        counts = _Counts()
+        base = default_hilbert_target(16)
+        target = HilbertTarget(phi=counts.target(base.phi), reference=base.reference)
+        run_chain(pcn(target, delta=0.5), np.zeros(16), self.N, np.random.default_rng(9))
+        assert counts.calls["eval"] == self.N + 1
+
+
+class TestNonFiniteParameters:
+    """A NaN or infinite parameter fails when the kernel is built."""
+
+    @staticmethod
+    def _builders():
+        fd = standard_gaussian(2)
+        metric = diagonal_quadratic_metric()
+        hilbert = default_hilbert_target(4)
+        surrogate = HilbertTarget(
+            phi=hilbert.phi, reference=hilbert.reference, surrogate_f=hilbert.force()
+        )
+        return {
+            "HmcConfig.delta": lambda x: HmcConfig(delta=x),
+            "HmcConfig.delta1": lambda x: HmcConfig(delta=0.5, delta1=x),
+            "HmcConfig.delta2": lambda x: HmcConfig(delta=0.5, delta2=x),
+            "mala.delta": lambda x: mala(fd, delta=x, dim=2),
+            "rmhmc.delta": lambda x: rmhmc(fd, metric, delta=x, n=1, dim=2),
+            "relativistic_hmc.m": lambda x: relativistic_hmc(fd, x, 1.0, HmcConfig(delta=0.5), 2),
+            "relativistic_hmc.c": lambda x: relativistic_hmc(fd, 1.0, x, HmcConfig(delta=0.5), 2),
+            "gaussian_jump.scale": lambda x: gaussian_jump(2, scale=[1.0, x]),
+            "rwmc.scale": lambda x: rwmc(fd, dim=2, scale=x),
+            "diagonal mass": lambda x: gaussian_momentum(2, mass=np.array([1.0, x])),
+            "dense mass": lambda x: hmc(
+                fd, HmcConfig(delta=0.5, mass=np.array([[2.0, x], [x, 2.0]])), 2
+            ),
+            "inf_hmc.delta1": lambda x: inf_hmc(hilbert, AuxLaw(), delta1=x),
+            "inf_hmc.delta2": lambda x: inf_hmc(hilbert, AuxLaw(), delta1=0.1, delta2=x),
+            "inf_mala.delta": lambda x: inf_mala(hilbert, delta=x),
+            "gen_langevin.delta": lambda x: gen_langevin(surrogate, delta=x),
+        }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "HmcConfig.delta", "HmcConfig.delta1", "HmcConfig.delta2", "mala.delta",
+            "rmhmc.delta", "relativistic_hmc.m", "relativistic_hmc.c",
+            "gaussian_jump.scale", "rwmc.scale", "diagonal mass", "dense mass",
+            "inf_hmc.delta1", "inf_hmc.delta2", "inf_mala.delta", "gen_langevin.delta",
+        ],
+    )
+    def test_rejected_at_construction(self, name, value):
+        with pytest.raises(ConfigurationError):
+            self._builders()[name](value)
 
 class TestSurrogateHmc:
     def test_rwmc_recovery(self, rng):
