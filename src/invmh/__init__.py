@@ -26,7 +26,6 @@ from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .integrators import (
     DivergenceError,
     FixedPointError,
-    FlowMap,
     SurrogateField,
     check_reversibility,
     drift,
@@ -38,7 +37,6 @@ from .integrators import (
     momentum_flip,
     numerical_logdet_jacobian,
     palindromic_compose,
-    precond_kick,
     rotation,
     stormer_verlet,
     strang_hilbert,

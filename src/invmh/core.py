@@ -50,6 +50,14 @@ def require_finite(**parameters) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
+def require_count(**parameters) -> None:
+    """Like :func:`require_finite`, for parameters that must be integers
+    >= 1 (Python or numpy integers, not bools), such as trajectory lengths."""
+    for name, value in parameters.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class IntegrationError(RuntimeError):
     """Base class for failures inside a proposal map (divergence, implicit
     solver breakdown).  Samplers convert these into rejections."""

@@ -27,6 +27,7 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    require_count,
     require_finite,
 )
 from . import integrators
@@ -84,8 +85,7 @@ class HmcConfig:
         require_finite(
             delta=self.delta, delta1=self.delta1, delta2=self.delta2, mass=self.mass
         )
-        if self.n < 1:
-            raise ConfigurationError("number of integrator iterations must be >= 1")
+        require_count(n=self.n)
         if self.delta1 is None and self.delta <= 0:
             raise ConfigurationError("step size delta must be positive")
 
@@ -324,19 +324,27 @@ def relativistic_kinetic_grad(m: float, c: float, v: np.ndarray) -> np.ndarray:
     return v / (m * math.sqrt(r2 / (m * m * c * c) + 1.0))
 
 
+def _relativistic_envelope(dim: int, m: float, c: float) -> tuple[float, float]:
+    """Envelope rate ``kappa`` and log-bound of the relativistic momentum
+    sampler: the ``kappa`` that maximizes its acceptance rate, which (by
+    quadrature) is then above 0.76 for every dim from 1 to 1000 and
+    (m, c) = (1, 1), (1, 3), (10, 1)."""
+    kappa = c * math.sqrt(2.0 * dim / (dim + math.sqrt(dim * dim + 4.0 * (m * c * c) ** 2)))
+    return kappa, -m * c * math.sqrt(c * c - kappa * kappa)
+
+
 def _relativistic_momentum_sampler(
     dim: int, m: float, c: float, max_attempts: int = 1000
 ) -> Callable[[np.random.Generator], np.ndarray]:
     """Exact sampler for the density 1/Z exp(-K(v)) by rejection.
 
     In terms of the radius, ``K = c sqrt(m^2 c^2 + r^2)``.  Envelope:
-    uniform direction with Gamma(dim, 1/kappa) radius, kappa = c/sqrt(2).
-    Since ``sqrt(a^2 + r^2) >= (a + r)/sqrt(2)``, the log ratio
-    ``kappa r - c sqrt(m^2 c^2 + r^2)`` is maximized at ``r = m c`` with
-    value ``-m c^2 / sqrt(2)``, giving an exact closed-form bound.
+    uniform direction with Gamma(dim, 1/kappa) radius, ``0 < kappa <= c``.
+    The log ratio ``kappa r - c sqrt(m^2 c^2 + r^2)`` is at most
+    ``-m c sqrt(c^2 - kappa^2)``, its value at ``r = m c kappa /
+    sqrt(c^2 - kappa^2)``, an exact closed-form bound.
     """
-    kappa = c / math.sqrt(2.0)
-    log_bound = -m * c * c / math.sqrt(2.0)
+    kappa, log_bound = _relativistic_envelope(dim, m, c)
 
     def sample(rng: np.random.Generator) -> np.ndarray:
         for _ in range(max_attempts):
@@ -461,8 +469,9 @@ def rmhmc(
     """
     grad = _require_grad(target)
     require_finite(delta=delta)
-    if delta <= 0 or n < 1:
-        raise ConfigurationError("rmhmc requires delta > 0 and n >= 1")
+    require_count(n=n)
+    if delta <= 0:
+        raise ConfigurationError("rmhmc requires delta > 0")
 
     # Work done at a position (metric, force) is computed once per position
     # of a trajectory: ``points`` maps id(q) to q and its memo for the
@@ -613,13 +622,11 @@ def surrogate_hmc(
             if not fields.check_f1_odd(dim, np.random.default_rng(0)):
                 raise ConfigurationError("declared parity f1(-v) = -f1(v) fails a spot check")
     d1, d2 = cfg.steps()
+    if scheme in ("leapfrog", "stormer_verlet") and (f1 is None or f2 is None):
+        raise ConfigurationError(f"{scheme} scheme requires f1 and f2")
     if scheme == "leapfrog":
-        if f1 is None or f2 is None:
-            raise ConfigurationError("leapfrog scheme requires f1 and f2")
         integrator = lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
     elif scheme == "stormer_verlet":
-        if f1 is None or f2 is None:
-            raise ConfigurationError("stormer_verlet scheme requires f1 and f2")
         integrator = lambda z: integrators.stormer_verlet(
             cfg.n, cfg.delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL
         )

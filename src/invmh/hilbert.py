@@ -6,14 +6,15 @@ generalized Langevin kernel, all as involutive kernels over a
 The proposal integrator is the Strang splitting of the preconditioned
 dynamics ``dq/dt = v, dv/dt = -q - f(q)`` into a velocity shift by ``f``
 (which stays absolutely continuous by Cameron-Martin) and an exact rotation
-(which preserves the Gaussian product measure).  The log Radon-Nikodym
-derivative of the resulting involution has the closed form implemented in
-:func:`hilbert_log_rn`, consuming every intermediate state of the
-trajectory.
+(which preserves the Gaussian product measure), run by the explicit
+kick-flow-kick loop of :mod:`invmh.integrators`.  The closed-form log
+Radon-Nikodym derivative (:func:`hilbert_log_rn`) reads ``phi`` and the
+force at every whole-step point from the forces those points carry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,6 +28,7 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    require_count,
     require_finite,
 )
 from .gaussian import SpectralGaussian, power_law_eigenvalues
@@ -69,7 +71,12 @@ class HilbertTarget:
         return self.reference.dim
 
     def force(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The drift ``f``: explicit surrogate if given, else ``C grad(phi)``."""
+        """The drift ``f``: explicit surrogate if given, else ``C grad(phi)``;
+        the same function on every call, so memos keyed by it are shared."""
+        return self._force
+
+    @functools.cached_property
+    def _force(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.surrogate_f is not None:
             return self.surrogate_f
         if self.phi.grad is None:
@@ -124,22 +131,23 @@ def hilbert_log_rn_from_trajectory(
     The value is
     ``phi(q_0) + H~(q_0, v_0) - phi(q_n) - H~(q_n, -v_n)`` plus the
     Cameron-Martin terms accumulated by the ``n`` velocity shifts; a
-    non-finite ingredient yields ``-inf`` (reject).
+    non-finite ingredient yields ``-inf`` (reject).  ``phi`` and the force
+    are read through the points' memos, where the integrator left forces.
     """
     ref = target.reference
     f = target.force()
     z0, zn = trajectory[0], trajectory[-1]
-    phi0 = target.phi.eval(z0.q)
-    phin = target.phi.eval(zn.q)
+    phi0 = z0.cached(target.phi.eval)
+    phin = zn.cached(target.phi.eval)
     if not (math.isfinite(phi0) and math.isfinite(phin)):
         return -math.inf
     value = phi0 + aux.h_tilde(ref, z0.q, z0.v) - phin - aux.h_tilde(ref, zn.q, -zn.v)
-    f0 = np.asarray(f(z0.q), dtype=float)
-    fn = np.asarray(f(zn.q), dtype=float)
+    f0 = np.asarray(z0.cached(f), dtype=float)
+    fn = np.asarray(zn.cached(f), dtype=float)
     value -= 0.5 * delta1 * delta1 * (ref.cm_sq_norm(f0) - ref.cm_sq_norm(fn))
     inner = 0.0
     for z in trajectory[1:-1]:
-        inner += ref.cm_inner(z.v, f(z.q))
+        inner += ref.cm_inner(z.v, z.cached(f))
     value += 2.0 * delta1 * inner
     value += delta1 * (ref.cm_inner(z0.v, f0) + ref.cm_inner(zn.v, fn))
     if math.isnan(value):
@@ -187,7 +195,8 @@ def _hilbert_kernel(
 def _strang_kernel(
     target: HilbertTarget, aux: AuxLaw, delta1: float, delta2: float, n: int, name: str
 ) -> InvolutiveKernel:
-    """``flip . strang`` with the closed-form log-RN of its trajectory."""
+    """``flip . strang`` with the closed-form log-RN of its trajectory; the
+    image keeps the last point's memo, with ``phi`` and the force there."""
     f = target.force()
 
     def strang_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
@@ -301,6 +310,7 @@ def inf_hmc(
     ``delta2 = delta``; one step with the Langevin step sizes recovers the
     preconditioned MALA kernel."""
     require_finite(delta1=delta1, delta2=delta2)
+    require_count(n=n)
     if delta1 < 0:
         raise ConfigurationError("delta1 must be nonnegative")
     if delta2 is None:

@@ -1,6 +1,9 @@
-"""Geometric integrator toolbox: elementary flows, palindromic compositions,
-leapfrog and Strang schemes, implicit Euler-A/B and generalized
-Stormer-Verlet, plus numerical Jacobian and reversibility checkers."""
+"""Geometric integrator toolbox: elementary flows (kick, drift, rotation),
+palindromic compositions of ``(flow, t)`` stages, leapfrog and Strang
+schemes (one explicit kick-flow-kick loop whose trajectory points carry
+their forces), implicit Euler-A/B and generalized Stormer-Verlet (built
+from the two Euler steps), plus numerical Jacobian and reversibility
+checkers."""
 
 from __future__ import annotations
 
@@ -15,12 +18,10 @@ from .core import ExtendedPoint, ConfigurationError, IntegrationError
 __all__ = [
     "DivergenceError",
     "FixedPointError",
-    "FlowMap",
     "SurrogateField",
     "kick",
     "drift",
     "rotation",
-    "precond_kick",
     "leapfrog",
     "strang_hilbert",
     "fixed_point_solve",
@@ -59,18 +60,6 @@ class FixedPointError(IntegrationError):
     def __init__(self, residual: float, reason: str = "fixed-point iteration stalled at residual"):
         super().__init__(f"{reason} {residual:.3e}")
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """A family of invertible maps on extended phase space indexed by a
-    signed time parameter; ``forward(-t, forward(t, z)) == z`` for the
-    symmetric maps used here."""
-
-    forward: Callable[[float, ExtendedPoint], ExtendedPoint]
-
-    def __call__(self, t: float, z: ExtendedPoint) -> ExtendedPoint:
-        return self.forward(t, z)
 
 
 @dataclass(frozen=True)
@@ -116,59 +105,57 @@ def rotation(t: float, z: ExtendedPoint) -> ExtendedPoint:
     return ExtendedPoint(c * z.q + s * z.v, -s * z.q + c * z.v)
 
 
-def precond_kick(t: float, f, z: ExtendedPoint) -> ExtendedPoint:
-    """Velocity shift ``(q, v) -> (q, v - t f(q))`` used by the
-    Hilbert-space Strang scheme."""
-    return ExtendedPoint(z.q, z.v - t * np.asarray(f(z.q), dtype=float))
-
-
 def _require_finite(z: ExtendedPoint) -> ExtendedPoint:
     if not (np.isfinite(z.q).all() and np.isfinite(z.v).all()):
         raise DivergenceError("non-finite state encountered during integration")
     return z
 
 
+def _kick_flow_kick(n: int, delta1: float, flow, force, z: ExtendedPoint) -> list[ExtendedPoint]:
+    """The points ``[z, z_1, ..., z_n]`` after each of ``n`` steps
+    ``kick(delta1) . flow . kick(delta1)``, with ``flow(q, v) -> (q, v)``.
+    The force is evaluated once per position (a step's closing kick and the
+    next step's opening kick share it), the first read from ``z``'s memo;
+    each later point's memo holds its force.  Raises
+    :class:`DivergenceError` on non-finite states."""
+    f = np.asarray(z.cached(force), dtype=float)
+    q, v = z.q, z.v
+    trajectory = [z]
+    for _ in range(n):
+        q, v = flow(q, v + delta1 * f)
+        f = np.asarray(force(q), dtype=float)
+        v = v + delta1 * f
+        trajectory.append(_require_finite(ExtendedPoint(q, v, {force: f})))
+    return trajectory
+
+
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
     """``n`` repetitions of the kick-drift-kick step with time steps
     ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
-    ``f1(v)``).  Raises :class:`DivergenceError` on non-finite states.
-
-    The force is evaluated once per position: the closing kick of a step
-    and the opening kick of the next share it.  The opening force is taken
-    from ``z``'s memo when there, and the endpoint's memo holds the closing
-    force, so a chain's next trajectory starts without evaluating it."""
+    ``f1(v)``).  Raises :class:`DivergenceError` on non-finite states; the
+    force is evaluated once per position, and the endpoint's memo holds it."""
     if n < 1:
         raise ConfigurationError("leapfrog requires n >= 1")
-    force = np.asarray(z.cached(f2), dtype=float)
-    q, v = z.q, z.v
-    for _ in range(n):
-        v = v + delta1 * force
-        q = q + delta2 * np.asarray(f1(v), dtype=float)
-        force = np.asarray(f2(q), dtype=float)
-        v = v + delta1 * force
-        if not (np.isfinite(q).all() and np.isfinite(v).all()):
-            raise DivergenceError("non-finite state encountered during integration")
-    return ExtendedPoint(q, v, {f2: force})
+    drift_flow = lambda q, v: (q + delta2 * np.asarray(f1(v), dtype=float), v)
+    return _kick_flow_kick(n, delta1, drift_flow, f2, z)[-1]
 
 
 def strang_hilbert(
     n: int, delta1: float, delta2: float, f, z: ExtendedPoint
 ) -> tuple[ExtendedPoint, list[ExtendedPoint]]:
     """Strang splitting of the preconditioned dynamics: ``n`` repetitions of
-    ``precond_kick(delta1) . rotation(delta2) . precond_kick(delta1)``.
+    ``kick(-delta1) . rotation(delta2) . kick(-delta1)`` with force ``f``
+    (velocity shifts ``v -> v - delta1 f(q)``), by :func:`leapfrog`'s loop.
 
-    Returns the endpoint together with the whole-step trajectory
-    ``[z_0, z_1, ..., z_n]`` (length ``n + 1``); the closed-form
-    Radon-Nikodym evaluator consumes every intermediate state."""
+    Returns ``(z_n, [z_0, ..., z_n])``, the endpoint and the whole-step
+    trajectory, whose points after ``z_0`` carry their forces in their
+    memos; the closed-form log-RN consumes every point."""
     if n < 1:
         raise ConfigurationError("strang_hilbert requires n >= 1")
-    trajectory = [z]
-    for _ in range(n):
-        z = precond_kick(delta1, f, z)
-        z = rotation(delta2, z)
-        z = _require_finite(precond_kick(delta1, f, z))
-        trajectory.append(z)
-    return z, trajectory
+    c, s = math.cos(delta2), math.sin(delta2)
+    rotation_flow = lambda q, v: (c * q + s * v, -s * q + c * v)
+    trajectory = _kick_flow_kick(n, -delta1, rotation_flow, f, z)
+    return trajectory[-1], trajectory
 
 
 def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
@@ -189,11 +176,9 @@ def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
     solution ``theta / (1 - theta) |u|``, with
     ``theta = |u| / |previous update|``, is that small; no update is spent
     only to confirm convergence.  (A Newton solve's first update shrinks the
-    error much more than later ones do.)  The rule bounds the last update
-    by FIXED_POINT_TOL and only estimates the distance to the solution: over
-    10 012 Newton position solves of RMHMC chains (d = 2, delta 0.3 to 2)
-    the estimate was exceeded by up to 3.1x (3.13e-12).  Raises :class:`FixedPointError`
-    after FIXED_POINT_MAX_ITER updates and :class:`DivergenceError` on a
+    error much more than later ones do.)  The distance is only estimated
+    (see FIXED_POINT_TOL).  Raises :class:`FixedPointError` after
+    FIXED_POINT_MAX_ITER updates and :class:`DivergenceError` on a
     non-finite update.
     """
     scale = None
@@ -230,19 +215,13 @@ def _solve_velocity(delta, f2, q0, v0, velocity_root=None) -> np.ndarray:
         v = velocity_root(delta, q0, v0)
         if v is not None:
             return v
-
-    def update(v: np.ndarray) -> np.ndarray:
-        return v0 + delta * np.asarray(f2(q0, v), dtype=float)
-
+    update = lambda v: v0 + delta * np.asarray(f2(q0, v), dtype=float)
     return fixed_point_solve(update, update(v0))
 
 
 def _solve_position(delta, f1, q0, v0, df1_dq=None) -> np.ndarray:
     """The position ``q = q0 + delta f1(q, v0)`` of an Euler-A step."""
-
-    def update(q: np.ndarray) -> np.ndarray:
-        return q0 + delta * np.asarray(f1(q, v0), dtype=float)
-
+    update = lambda q: q0 + delta * np.asarray(f1(q, v0), dtype=float)
     slope = None if df1_dq is None else lambda q: delta * df1_dq(q, v0)
     return fixed_point_solve(update, update(q0), slope)
 
@@ -311,28 +290,23 @@ def stormer_verlet(
         raise ConfigurationError("stormer_verlet requires n >= 1")
     half = delta / 2.0
     for _ in range(n):
-        q0 = z.q
-        v = _solve_velocity(half, f2, q0, z.v, velocity_root)
-        q_mid = q0 + half * np.asarray(f1(q0, v), dtype=float)
-        q = _solve_position(half, f1, q_mid, v, df1_dq)
-        v_end = v + half * np.asarray(f2(q, v), dtype=float)
-        if not (np.isfinite(q).all() and np.isfinite(v_end).all()):
-            raise DivergenceError("non-finite state encountered during integration")
+        mid = euler_b_step(half, f1, f2, z, velocity_root)
+        end = euler_a_step(half, f1, f2, mid, df1_dq)
         if reverse_tol is not None:
             miss = max(
-                np.abs(_solve_velocity(half, f2, q, -v_end, velocity_root) + v).max(),
-                np.abs(_solve_position(half, f1, q_mid, -v, df1_dq) - q0).max(),
+                np.abs(_solve_velocity(half, f2, end.q, -end.v, velocity_root) + mid.v).max(),
+                np.abs(_solve_position(half, f1, mid.q, -mid.v, df1_dq) - z.q).max(),
             )
             if not miss <= reverse_tol:
                 raise FixedPointError(
                     float(miss), "reverse implicit step reaches another root, at distance"
                 )
-        z = ExtendedPoint(q, v_end)
+        z = end
     return z
 
 
 def palindromic_compose(
-    stages: Sequence[tuple[FlowMap | Callable[[float, ExtendedPoint], ExtendedPoint], float]],
+    stages: Sequence[tuple[Callable[[float, ExtendedPoint], ExtendedPoint], float]],
     n: int = 1,
 ) -> Callable[[ExtendedPoint], ExtendedPoint]:
     """Compose stages forward then in reverse order, repeated ``n`` times.

@@ -30,7 +30,6 @@ from invmh import (
     inf_mala,
     kick,
     drift,
-    FlowMap,
     langevin_log_accept_ratio,
     leapfrog,
     leapfrog_refinement_probe,
@@ -247,7 +246,7 @@ def test_criterion_05_reversibility():
 
     f2k = lambda q: -phi2.grad(q)
     palindrome = palindromic_compose(
-        [(FlowMap(lambda t, z: kick(t, f2k, z)), 0.1), (FlowMap(lambda t, z: drift(t, lambda v: v, z)), 0.15)],
+        [(lambda t, z: kick(t, f2k, z), 0.1), (lambda t, z: drift(t, lambda v: v, z), 0.15)],
         n=2,
     )
     results["palindrome"] = check_reversibility(palindrome, momentum_flip, points2, 1e-8)

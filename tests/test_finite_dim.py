@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invmh.finite_dim
 from invmh import (
@@ -10,7 +11,6 @@ from invmh import (
     ConfigurationError,
     ExtendedPoint,
     IntegrationError,
-    FlowMap,
     HilbertTarget,
     HmcConfig,
     PositionMetric,
@@ -39,6 +39,7 @@ from invmh import (
 from invmh.finite_dim import (
     relativistic_kinetic,
     relativistic_kinetic_grad,
+    _relativistic_envelope,
     _relativistic_momentum_sampler,
 )
 from invmh.hilbert import default_hilbert_target
@@ -230,6 +231,46 @@ class TestRelativistic:
         se_sq = np.std(draws**2) / math.sqrt(draws.size)
         assert abs(np.mean(np.abs(draws)) - true_abs) <= 3 * se_abs
         assert abs(np.mean(draws**2) - true_sq) <= 3 * se_sq
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 1000),
+        m=st.floats(0.1, 10.0),
+        c=st.floats(0.1, 10.0),
+    )
+    def test_sampler_at_any_dimension(self, dim, m, c):
+        # The log ratio kappa r - c sqrt(m^2 c^2 + r^2) of target to envelope
+        # never exceeds the log-bound (its maximum, at r_star), and draws
+        # succeed well within the attempt cap.
+        kappa, log_bound = _relativistic_envelope(dim, m, c)
+        assert 0.0 < kappa <= c
+        r = np.geomspace(1e-6, 1e6, 2001)
+        if kappa < c:
+            r = np.append(r, m * c * kappa / math.sqrt(c * c - kappa * kappa))
+        log_ratio = kappa * r - c * np.sqrt((m * c) ** 2 + r * r)
+        assert log_ratio.max() <= log_bound + 1e-9 * (1.0 + abs(log_bound))
+        sampler = _relativistic_momentum_sampler(dim, m, c, max_attempts=50)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            v = sampler(rng)
+            assert v.shape == (dim,) and np.isfinite(v).all()
+
+    def test_radius_moments_at_dimension_50(self):
+        # |v| has density proportional to r^49 exp(-c sqrt(m^2 c^2 + r^2)).
+        dim, m, c = 50, 1.0, 1.0
+        grid = np.linspace(0.0, 300.0, 300_001)[1:]
+        log_dens = (dim - 1) * np.log(grid) - c * np.sqrt((m * c) ** 2 + grid**2)
+        weights = np.exp(log_dens - log_dens.max())
+        z = np.trapezoid(weights, grid)
+        true_mean = np.trapezoid(grid * weights, grid) / z
+        true_sq = np.trapezoid(grid**2 * weights, grid) / z
+        sampler = _relativistic_momentum_sampler(dim, m, c)
+        rng = np.random.default_rng(50)
+        radii = np.array([np.linalg.norm(sampler(rng)) for _ in range(5000)])
+        se_mean = np.std(radii) / math.sqrt(radii.size)
+        se_sq = np.std(radii**2) / math.sqrt(radii.size)
+        assert abs(np.mean(radii) - true_mean) <= 3 * se_mean
+        assert abs(np.mean(radii**2) - true_sq) <= 3 * se_sq
 
     def test_kernel_involution(self, rng):
         kernel = relativistic_hmc(
@@ -474,9 +515,37 @@ class TestWorkCounts:
         run_chain(pcn(target, delta=0.5), np.zeros(16), self.N, np.random.default_rng(9))
         assert counts.calls["eval"] == self.N + 1
 
+    @pytest.mark.parametrize(
+        "build, forces_per_step",
+        [
+            (lambda t: inf_mala(t, delta=0.5), 1),
+            (lambda t: gen_langevin(t, delta=0.5), 1),
+            (lambda t: inf_hmc(t, AuxLaw(), delta1=0.15, delta2=0.3, n=10), 10),
+        ],
+        ids=["inf_mala", "gen_langevin", "inf_hmc"],
+    )
+    def test_strang_kernels(self, build, forces_per_step):
+        # The force is evaluated once per position a trajectory visits (the
+        # start's comes from the previous step), phi once per proposal; the
+        # log-RN reads both from the trajectory's points.  Every call, to
+        # grad(phi) (inf_mala) or to the surrogate force (gen_langevin,
+        # inf_hmc), counts as "force".
+        counts = _Counts()
+        base = default_hilbert_target(16)
+        phi = TargetPotential(
+            eval=counts.wrap("eval", base.phi.eval), grad=counts.wrap("force", base.phi.grad)
+        )
+        target = HilbertTarget(
+            phi=phi, reference=base.reference, surrogate_f=counts.wrap("force", base.force())
+        )
+        run_chain(build(target), np.zeros(16), self.N, np.random.default_rng(9))
+        assert counts.calls["force"] == forces_per_step * self.N + 1
+        assert counts.calls["eval"] == self.N + 1
+
 
 class TestNonFiniteParameters:
-    """A NaN or infinite parameter fails when the kernel is built."""
+    """A NaN or infinite parameter, or a step count ``n`` that is not an
+    integer >= 1, fails when the kernel is built."""
 
     @staticmethod
     def _builders():
@@ -520,6 +589,37 @@ class TestNonFiniteParameters:
         with pytest.raises(ConfigurationError):
             self._builders()[name](value)
 
+    @staticmethod
+    def _step_count_builders():
+        fd = standard_gaussian(2)
+        hilbert = default_hilbert_target(4)
+        return {
+            "HmcConfig.n": lambda n: HmcConfig(delta=0.5, n=n),
+            "rmhmc.n": lambda n: rmhmc(fd, diagonal_quadratic_metric(), delta=0.3, n=n, dim=2),
+            "inf_hmc.n": lambda n: inf_hmc(hilbert, AuxLaw(), delta1=0.1, n=n),
+        }
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [
+            ("HmcConfig.n", 2.5),
+            ("HmcConfig.n", True),
+            ("rmhmc.n", 1.5),
+            ("rmhmc.n", True),
+            ("inf_hmc.n", 0),
+            ("inf_hmc.n", 1.5),
+            ("inf_hmc.n", np.True_),
+        ],
+    )
+    def test_bad_step_count_rejected_at_construction(self, name, n):
+        with pytest.raises(ConfigurationError):
+            self._step_count_builders()[name](n)
+
+    @pytest.mark.parametrize("name", ["HmcConfig.n", "rmhmc.n", "inf_hmc.n"])
+    def test_numpy_integer_step_count_accepted(self, name):
+        self._step_count_builders()[name](np.int64(3))
+
+
 class TestSurrogateHmc:
     def test_rwmc_recovery(self, rng):
         # Kick disabled (delta1 = 0, zero force), identity drift with
@@ -549,8 +649,8 @@ class TestSurrogateHmc:
         f1 = lambda v: v
         f2 = lambda q: -grad(q)
         stages = [
-            (FlowMap(lambda t, z: kick(t, f2, z)), 0.1),
-            (FlowMap(lambda t, z: drift(t, f1, z)), 0.15),
+            (lambda t, z: kick(t, f2, z), 0.1),
+            (lambda t, z: drift(t, f1, z), 0.15),
         ]
         kernel = surrogate_hmc(
             target,
@@ -596,7 +696,7 @@ class TestSurrogateHmc:
             gaussian_momentum(2),
             HmcConfig(delta=1.0, n=3),
             scheme="palindrome",
-            stages=[(FlowMap(lambda t, z: rotation(t, z)), 0.35)],
+            stages=[(lambda t, z: rotation(t, z), 0.35)],
             dim=2,
         )
         from invmh import run_chain
