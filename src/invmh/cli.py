@@ -33,6 +33,7 @@ from .finite_dim import (
     rwmc,
     surrogate_hmc,
 )
+from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .hilbert import AuxLaw, HilbertTarget, gen_langevin, inf_hmc, inf_mala, pcn
 from . import targets as target_lib
 
@@ -49,6 +50,10 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
     if key not in section:
         if required:
@@ -56,9 +61,7 @@ def _get(section: dict, path: str, key: str, kind, required=True, default=None):
         return default
     value = section[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-        if not math.isfinite(value):
+        if not _is_finite_number(value):
             _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
@@ -163,23 +166,29 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def _eigenvalue_spec(section: dict, path: str):
+def _reference(section: dict, path: str) -> SpectralGaussian:
+    """The Gaussian reference of a Hilbert target; errors name the field."""
     spec = _get(section, path, "eigenvalues", dict)
-    if "values" in spec:
-        values = spec["values"]
-        if not isinstance(values, list) or not values:
-            _fail(f"{path}.eigenvalues.values", "expected a nonempty list")
-        return values
-    if "power_law" in spec:
-        pl = spec["power_law"]
-        if not isinstance(pl, dict):
-            _fail(f"{path}.eigenvalues.power_law", "expected an object")
-        return {
-            "d": _get(pl, f"{path}.eigenvalues.power_law", "d", int),
-            "c": _get(pl, f"{path}.eigenvalues.power_law", "c", float, required=False, default=1.0),
-            "p": _get(pl, f"{path}.eigenvalues.power_law", "p", float, required=False, default=2.0),
-        }
-    _fail(f"{path}.eigenvalues", "expected 'values' or 'power_law'")
+    field = f"{path}.eigenvalues"
+    try:
+        if "values" in spec:
+            field += ".values"
+            values = spec["values"]
+            if not isinstance(values, list) or not values:
+                _fail(field, "expected a nonempty list")
+            return SpectralGaussian(np.asarray(values, dtype=float))
+        if "power_law" in spec:
+            field += ".power_law"
+            pl = spec["power_law"]
+            if not isinstance(pl, dict):
+                _fail(field, "expected an object")
+            d = _get(pl, field, "d", int)
+            c = _get(pl, field, "c", float, required=False, default=1.0)
+            p = _get(pl, field, "p", float, required=False, default=2.0)
+            return SpectralGaussian(power_law_eigenvalues(d, c=c, p=p))
+    except (ConfigurationError, ValueError, TypeError) as exc:
+        _fail(field, str(exc))
+    _fail(field, "expected 'values' or 'power_law'")
 
 
 def build_target(spec: dict):
@@ -207,19 +216,14 @@ def build_target(spec: dict):
             _fail("target", str(exc))
         return "fd", target, dim
     if name == "hilbert_quartic":
-        eig = _eigenvalue_spec(spec, "target")
-        try:
-            target = target_lib.hilbert_quartic(eig)
-        except (ConfigurationError, ValueError) as exc:
-            _fail("target.eigenvalues", str(exc))
+        target = target_lib.hilbert_quartic(_reference(spec, "target"))
         return "hilbert", target, target.dim
     if name == "hilbert_linear":
-        eig = _eigenvalue_spec(spec, "target")
-        coeff = spec.get("coefficients", 1.0)
+        reference = _reference(spec, "target")
         try:
-            target = target_lib.hilbert_linear(eig, coeff)
-        except (ConfigurationError, ValueError) as exc:
-            _fail("target", str(exc))
+            target = target_lib.hilbert_linear(reference, spec.get("coefficients", 1.0))
+        except (ConfigurationError, ValueError, TypeError) as exc:
+            _fail("target.coefficients", str(exc))
         return "hilbert", target, target.dim
     _fail("target.name", f"unknown target {name!r}; see `invmh list`")
 
@@ -419,8 +423,8 @@ def run(
             "output": out_spec,
         }
         q0 = resolved["run"].get("q0")
-        if q0 is not None and (not isinstance(q0, list) or len(q0) != dim):
-            raise ConfigError(f"run.q0: expected a list of length {dim}")
+        if q0 is not None and (len(q0) != dim or not all(map(_is_finite_number, q0))):
+            raise ConfigError(f"run.q0: expected a list of {dim} finite numbers, got {q0!r}")
         build_kernel(resolved["sampler"], kind, target, dim)
 
         directory = (

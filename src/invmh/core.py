@@ -381,7 +381,7 @@ def mixture_step(
         raise ConfigurationError("mixture requires at least one kernel")
     q = np.asarray(q, dtype=float)
     w = np.asarray(weights(q), dtype=float)
-    if w.shape != (len(kernels),) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    if w.shape != (len(kernels),) or not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
         raise ConfigurationError("weights(q) must be a probability vector over the kernels")
     j = int(rng.choice(len(kernels), p=w))
     kernel = kernels[j]

@@ -473,42 +473,21 @@ def rmhmc(
     if delta <= 0:
         raise ConfigurationError("rmhmc requires delta > 0")
 
-    # Work done at a position (metric, force) is computed once per position
-    # of a trajectory: ``points`` maps id(q) to q and its memo for the
-    # positions of the current trajectory, the first one holding the memo
-    # the chain handed over, and the endpoint's memo goes back to the chain.
-    # Memo values depend on the position alone, so trajectories of one
-    # kernel run from several threads at once can only lose cached values.
-    points: dict[int, tuple[np.ndarray, dict]] = {}
-
-    def memo_of(q: np.ndarray) -> dict:
-        entry = points.get(id(q))
-        if entry is None:
-            entry = points[id(q)] = (q, {})
-        return entry[1]
-
-    def cached(fn, q: np.ndarray):
-        memo = memo_of(q)
-        value = memo.get(fn)
-        if value is None:
-            value = memo[fn] = fn(q)
-        return value
-
     def metric_ops(q: np.ndarray) -> _SPD:
         return _SPD(metric.matrix(q), dim, DivergenceError)
 
     def static_force(q: np.ndarray) -> np.ndarray:
-        """The part of ``-f2(q, v)`` that does not depend on ``v``."""
+        """The part of ``-f2(z)`` that does not depend on ``z.v``."""
         return np.asarray(grad(q), dtype=float) + np.asarray(
             metric.grad_half_logdet(q), dtype=float
         )
 
-    def f1(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def f1(z: ExtendedPoint) -> np.ndarray:
         # Mostly evaluated at the iterates of Euler-A's solve, each new.
-        return metric_ops(q).inv_apply(v)
+        return metric_ops(z.q).inv_apply(z.v)
 
-    def f2(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return -(cached(static_force, q) + np.asarray(metric.grad_quad_form(q, v), dtype=float))
+    def f2(z: ExtendedPoint) -> np.ndarray:
+        return -(z.cached(static_force) + np.asarray(metric.grad_quad_form(z.q, z.v), dtype=float))
 
     hooks = {}
     if _is_elementwise(metric, dim):
@@ -524,20 +503,20 @@ def rmhmc(
         def checked_quad_diag(q: np.ndarray):
             """``D(q)`` if ``grad_quad_form(q, .)`` is ``D(q) * v**2`` along a
             fixed direction with distinct entries, else False."""
-            d = cached(quad_diag, q)
+            d = quad_diag(q)
             expected = d * (probe * probe)
             along = np.asarray(metric.grad_quad_form(q, probe), dtype=float)
             return d if np.abs(along - expected).max() <= 1e-9 * np.abs(expected).max() else False
 
-        def velocity_root(h: float, q0: np.ndarray, v0: np.ndarray) -> np.ndarray | None:
+        def velocity_root(h: float, z: ExtendedPoint) -> np.ndarray | None:
             """Euler-B's velocity equation is the quadratic
             ``v = kicked - h D v**2``; the root at which it contracts, where
             its Jacobian is ``1 - sqrt(1 + 4 h D kicked)`` (it never does at
             the other root)."""
-            d = cached(checked_quad_diag, q0)
+            d = z.cached(checked_quad_diag)
             if d is False:
                 return None
-            kicked = v0 - h * cached(static_force, q0)
+            kicked = z.v - h * z.cached(static_force)
             root = np.sqrt(1.0 + (4.0 * h) * d * kicked)
             contraction = np.abs(1.0 - root).max()
             if not contraction < 1.0:  # also when a root is not real
@@ -546,21 +525,17 @@ def rmhmc(
                 )
             return 2.0 * kicked / (1.0 + root)
 
-        def f1(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+        def f1(z: ExtendedPoint) -> np.ndarray:
             # M(q) > 0 is checked where the energy is evaluated, at the
             # trajectory's end; a solve through non-positive values fails
             # or ends there.
-            return v / metric.matrix(q)
+            return z.v / metric.matrix(z.q)
 
-        hooks = dict(df1_dq=lambda q, v: 2.0 * v * cached(quad_diag, q), velocity_root=velocity_root)
+        hooks = dict(df1_dq=lambda z: 2.0 * z.v * quad_diag(z.q), velocity_root=velocity_root)
 
-    def integrator(z: ExtendedPoint) -> ExtendedPoint:
-        points.clear()
-        points[id(z.q)] = (z.q, {} if z.memo is None else z.memo)
-        end = integrators.stormer_verlet(
-            n, delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL, **hooks
-        )
-        return ExtendedPoint(end.q, end.v, memo_of(end.q))
+    integrator = lambda z: integrators.stormer_verlet(
+        n, delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL, **hooks
+    )
 
     def hamiltonian(z: ExtendedPoint) -> float:
         ops = z.cached(metric_ops)
@@ -600,9 +575,11 @@ def surrogate_hmc(
     """HMC-style kernel with arbitrary surrogate force fields.
 
     ``scheme`` selects the integrator: ``"leapfrog"`` (separable ``f1(v)``,
-    ``f2(q)``), ``"stormer_verlet"`` (two-argument ``f1(q, v)``,
-    ``f2(q, v)``; a step its reverse step would not undo is rejected) or ``"palindrome"`` (explicit ``stages`` of (flow, t),
-    repeated ``cfg.n`` times).  Forces may be passed as bare callables, in
+    ``f2(q)``), ``"stormer_verlet"`` (point fields ``f1(z)``, ``f2(z)``,
+    which may read position-only work through ``z.cached``, shared per
+    position; a step its reverse step would not undo is rejected) or
+    ``"palindrome"`` (explicit ``stages`` of (flow, t), repeated ``cfg.n``
+    times).  Forces may be passed as bare callables, in
     which case the caller vouches for the parity of ``f1`` (odd for
     momentum-flip reversibility), or as a :class:`SurrogateField` whose
     declared parity is spot-checked at construction.

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, require_finite
 
 __all__ = ["SpectralGaussian", "power_law_eigenvalues"]
 
 
 def power_law_eigenvalues(d: int, c: float = 1.0, p: float = 2.0) -> np.ndarray:
     """Eigenvalue sequence ``c * i**(-p)`` for ``i = 1..d``."""
+    require_finite(c=c, p=p)
     if d < 1:
         raise ConfigurationError("dimension must be positive")
     if c <= 0:
@@ -43,6 +44,7 @@ class SpectralGaussian:
         eig = np.asarray(self.eigenvalues, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ConfigurationError("eigenvalues must be a nonempty 1-d sequence")
+        require_finite(eigenvalues=eig)
         if np.any(eig <= 0):
             raise ConfigurationError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) > 0):

@@ -110,13 +110,14 @@ class AuxLaw:
             raise ConfigurationError("auxiliary variances must be positive")
         return np.sqrt(k) * rng.standard_normal(reference.dim)
 
-    def h_tilde(self, reference: SpectralGaussian, q: np.ndarray, v: np.ndarray) -> float:
-        """The exponent H~(q, v) with d(aux law)/d(mu0) = exp(-H~)."""
+    def h_tilde(self, reference: SpectralGaussian, z: ExtendedPoint) -> float:
+        """The exponent H~(q, v) with d(aux law)/d(mu0) = exp(-H~) at the
+        point ``z``, whose memo holds ``variances(q)`` once computed."""
         if self.variances is None:
             return 0.0
-        k = np.asarray(self.variances(q), dtype=float)
+        k = np.asarray(z.cached(self.variances), dtype=float)
         lam = reference.eigenvalues
-        return float(np.sum(0.5 * v**2 * (1.0 / k - 1.0 / lam) + 0.5 * np.log(k / lam)))
+        return float(np.sum(0.5 * z.v**2 * (1.0 / k - 1.0 / lam) + 0.5 * np.log(k / lam)))
 
 
 def hilbert_log_rn_from_trajectory(
@@ -131,8 +132,9 @@ def hilbert_log_rn_from_trajectory(
     The value is
     ``phi(q_0) + H~(q_0, v_0) - phi(q_n) - H~(q_n, -v_n)`` plus the
     Cameron-Martin terms accumulated by the ``n`` velocity shifts; a
-    non-finite ingredient yields ``-inf`` (reject).  ``phi`` and the force
-    are read through the points' memos, where the integrator left forces.
+    non-finite ingredient yields ``-inf`` (reject).  ``phi``, the force and
+    the auxiliary variances are read through the points' memos, where the
+    integrator left forces.
     """
     ref = target.reference
     f = target.force()
@@ -141,7 +143,7 @@ def hilbert_log_rn_from_trajectory(
     phin = zn.cached(target.phi.eval)
     if not (math.isfinite(phi0) and math.isfinite(phin)):
         return -math.inf
-    value = phi0 + aux.h_tilde(ref, z0.q, z0.v) - phin - aux.h_tilde(ref, zn.q, -zn.v)
+    value = phi0 + aux.h_tilde(ref, z0) - phin - aux.h_tilde(ref, momentum_flip(zn))
     f0 = np.asarray(z0.cached(f), dtype=float)
     fn = np.asarray(zn.cached(f), dtype=float)
     value -= 0.5 * delta1 * delta1 * (ref.cm_sq_norm(f0) - ref.cm_sq_norm(fn))
@@ -184,7 +186,7 @@ def _hilbert_kernel(
         target=target.phi,
         aux=AuxiliaryKernel(
             sample=lambda q, rng: aux.sample(ref, q, rng),
-            log_density_terms=lambda q, v: -aux.h_tilde(ref, q, v),
+            log_density_terms=lambda q, v: -aux.h_tilde(ref, ExtendedPoint(q, v)),
         ),
         involution=Involution(apply_and_log_rn),
         dim=target.dim,
@@ -388,9 +390,10 @@ def validate_aux_normalization(
     Offered as a validation hook for user-supplied laws; not enforced."""
     ref = target.reference
     values = np.empty(n_draws)
+    memo = {}
     for i in range(n_draws):
         v = ref.sample(rng)
-        values[i] = math.exp(-aux.h_tilde(ref, q, v))
+        values[i] = math.exp(-aux.h_tilde(ref, ExtendedPoint(q, v, memo)))
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_draws))
 
 

@@ -209,21 +209,21 @@ def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
     raise FixedPointError(float(size))
 
 
-def _solve_velocity(delta, f2, q0, v0, velocity_root=None) -> np.ndarray:
-    """The velocity ``v = v0 + delta f2(q0, v)`` of an Euler-B step."""
+def _solve_velocity(delta, f2, z: ExtendedPoint, velocity_root=None) -> np.ndarray:
+    """The velocity ``v = v0 + delta f2(q0, v)`` of an Euler-B step from ``z``."""
     if velocity_root is not None:
-        v = velocity_root(delta, q0, v0)
+        v = velocity_root(delta, z)
         if v is not None:
             return v
-    update = lambda v: v0 + delta * np.asarray(f2(q0, v), dtype=float)
-    return fixed_point_solve(update, update(v0))
+    update = lambda v: z.v + delta * np.asarray(f2(ExtendedPoint(z.q, v, z.memo)), dtype=float)
+    return fixed_point_solve(update, z.v + delta * np.asarray(f2(z), dtype=float))
 
 
-def _solve_position(delta, f1, q0, v0, df1_dq=None) -> np.ndarray:
-    """The position ``q = q0 + delta f1(q, v0)`` of an Euler-A step."""
-    update = lambda q: q0 + delta * np.asarray(f1(q, v0), dtype=float)
-    slope = None if df1_dq is None else lambda q: delta * df1_dq(q, v0)
-    return fixed_point_solve(update, update(q0), slope)
+def _solve_position(delta, f1, z: ExtendedPoint, df1_dq=None) -> np.ndarray:
+    """The position ``q = q0 + delta f1(q, v0)`` of an Euler-A step from ``z``."""
+    update = lambda q: z.q + delta * np.asarray(f1(ExtendedPoint(q, z.v)), dtype=float)
+    slope = None if df1_dq is None else lambda q: delta * df1_dq(ExtendedPoint(q, z.v))
+    return fixed_point_solve(update, z.q + delta * np.asarray(f1(z), dtype=float), slope)
 
 
 def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> ExtendedPoint:
@@ -231,17 +231,21 @@ def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> 
     ``q = q0 + delta f1(q0, v), v = v0 + delta f2(q0, v)``
     (fields evaluated at the old position and the new velocity).
 
-    Only the velocity equation is implicit.  ``velocity_root(delta, q0,
-    v0)``, when given, returns its solution exactly (in closed form, say),
-    which must be its only root at which the update map contracts; it
-    raises :class:`FixedPointError` when there is none, and returns None
-    when it cannot solve the equation at ``q0``.  Otherwise the equation is
-    solved by plain :func:`fixed_point_solve` iteration from the explicit
-    Euler update, so the returned velocity is within an estimated
-    FIXED_POINT_TOL of the solution.  The position follows explicitly."""
-    v = _solve_velocity(delta, f2, z.q, z.v, velocity_root)
-    q = z.q + delta * np.asarray(f1(z.q, v), dtype=float)
-    return _require_finite(ExtendedPoint(q, v))
+    The fields and hooks take a point ``z``, and read work that depends on
+    the position alone through ``z.cached``: every point at ``q0`` shares
+    ``z``'s memo, and the returned point gets a fresh one.
+
+    Only the velocity equation is implicit.  ``velocity_root(delta, z)``,
+    when given, returns its solution exactly (in closed form, say), which
+    must be its only root at which the update map contracts; it raises
+    :class:`FixedPointError` when there is none, and returns None when it
+    cannot solve the equation at ``q0``.  Otherwise the equation is solved by
+    plain :func:`fixed_point_solve` iteration from the explicit Euler update,
+    so the returned velocity is within an estimated FIXED_POINT_TOL of the
+    solution.  The position follows explicitly."""
+    v = _solve_velocity(delta, f2, z, velocity_root)
+    q = z.q + delta * np.asarray(f1(ExtendedPoint(z.q, v, z.memo)), dtype=float)
+    return _require_finite(ExtendedPoint(q, v, {}))
 
 
 def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> ExtendedPoint:
@@ -249,13 +253,13 @@ def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> Extende
     ``q = q0 + delta f1(q, v0), v = v0 + delta f2(q, v0)``
     (fields at the new position and the old velocity); implicit in the
     position only, which is solved like Euler-B's velocity (within an
-    estimated FIXED_POINT_TOL, by simplified Newton when ``df1_dq(q, v)``,
-    the diagonal Jacobian of ``f1`` in ``q``, is given) from the explicit Euler
-    update.  Numerically the adjoint of Euler-B:
+    estimated FIXED_POINT_TOL, by simplified Newton when ``df1_dq(z)``, the
+    diagonal Jacobian of ``f1`` in ``q``, is given) from the explicit Euler
+    update.  Fields and memos as in :func:`euler_b_step`; the iterates are
+    points without a memo.  Numerically the adjoint of Euler-B:
     ``euler_a(delta) == inverse(euler_b(-delta))``."""
-    q = _solve_position(delta, f1, z.q, z.v, df1_dq)
-    v = z.v + delta * np.asarray(f2(q, z.v), dtype=float)
-    return _require_finite(ExtendedPoint(q, v))
+    end = ExtendedPoint(_solve_position(delta, f1, z, df1_dq), z.v, {})
+    return _require_finite(end._replace(v=z.v + delta * np.asarray(f2(end), dtype=float)))
 
 
 def stormer_verlet(
@@ -271,6 +275,10 @@ def stormer_verlet(
     """Generalized Stormer-Verlet: ``n`` repetitions of
     ``euler_a(delta/2) . euler_b(delta/2)``; ``df1_dq`` and
     ``velocity_root`` are passed to the two steps.
+
+    Fields and hooks take points (see :func:`euler_b_step`): the start's
+    memo is ``z``'s, and each step's endpoint has a fresh one, which the
+    next step and the returned point inherit.
 
     Reduces to :func:`leapfrog` with ``delta1 = delta/2, delta2 = delta``
     when ``f1`` depends only on ``v`` and ``f2`` only on ``q``.
@@ -294,8 +302,8 @@ def stormer_verlet(
         end = euler_a_step(half, f1, f2, mid, df1_dq)
         if reverse_tol is not None:
             miss = max(
-                np.abs(_solve_velocity(half, f2, end.q, -end.v, velocity_root) + mid.v).max(),
-                np.abs(_solve_position(half, f1, mid.q, -mid.v, df1_dq) - z.q).max(),
+                np.abs(_solve_velocity(half, f2, momentum_flip(end), velocity_root) + mid.v).max(),
+                np.abs(_solve_position(half, f1, momentum_flip(mid), df1_dq) - z.q).max(),
             )
             if not miss <= reverse_tol:
                 raise FixedPointError(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, TargetPotential
+from .core import ConfigurationError, TargetPotential, require_finite
 from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .hilbert import HilbertTarget, quartic_bounded_phi
 
@@ -28,6 +28,7 @@ def standard_gaussian(dim: int) -> TargetPotential:
 def anisotropic_gaussian(variances) -> TargetPotential:
     """Centered Gaussian with the given per-coordinate variances."""
     var = np.asarray(variances, dtype=float)
+    require_finite(variances=var)
     if var.ndim != 1 or np.any(var <= 0):
         raise ConfigurationError("variances must be a positive vector")
     return TargetPotential(
@@ -39,6 +40,7 @@ def anisotropic_gaussian(variances) -> TargetPotential:
 def rosenbrock(dim: int = 2, a: float = 1.0, b: float = 10.0) -> TargetPotential:
     """Banana-shaped potential
     ``sum_i b (q_{i+1} - q_i^2)^2 + (a - q_i)^2``."""
+    require_finite(a=a, b=b)
     if dim < 2:
         raise ConfigurationError("rosenbrock requires dim >= 2")
 
@@ -82,6 +84,7 @@ def hilbert_linear(eigenvalues, coefficients) -> HilbertTarget:
     reference."""
     reference = _reference_from_spec(eigenvalues)
     a = np.broadcast_to(np.asarray(coefficients, dtype=float), (reference.dim,)).copy()
+    require_finite(coefficients=a)
     phi = TargetPotential(
         eval=lambda q: float(a @ q),
         grad=lambda q: a,

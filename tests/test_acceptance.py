@@ -169,7 +169,7 @@ def test_criterion_03_oracle_equivalence(zoo):
         def ext(q, v):
             return (
                 -target.phi.eval(q)
-                - aux.h_tilde(ref, q, v)
+                - aux.h_tilde(ref, ExtendedPoint(q, v))
                 + ref.log_density_lebesgue(q)
                 + ref.log_density_lebesgue(v)
             )
@@ -203,8 +203,8 @@ def test_criterion_04_volume_preservation():
 
     metric = diagonal_quadratic_metric()
     target2 = standard_gaussian(2)
-    f1 = lambda q, v: v / (1.0 + q**2)
-    f2 = lambda q, v: -(target2.grad(q) + metric.grad_quad_form(q, v) + metric.grad_half_logdet(q))
+    f1 = lambda z: z.v / (1.0 + z.q**2)
+    f2 = lambda z: -(target2.grad(z.q) + metric.grad_quad_form(z.q, z.v) + metric.grad_half_logdet(z.q))
     sv = lambda z: stormer_verlet(2, 0.15, f1, f2, z)
     worst_sv = 0.0
     for _ in range(100):
@@ -236,8 +236,8 @@ def test_criterion_05_reversibility():
 
     metric = diagonal_quadratic_metric()
     target2 = standard_gaussian(2)
-    f1 = lambda q, v: v / (1.0 + q**2)
-    f2 = lambda q, v: -(target2.grad(q) + metric.grad_quad_form(q, v) + metric.grad_half_logdet(q))
+    f1 = lambda z: z.v / (1.0 + z.q**2)
+    f2 = lambda z: -(target2.grad(z.q) + metric.grad_quad_form(z.q, z.v) + metric.grad_half_logdet(z.q))
     sv = lambda z: stormer_verlet(2, 0.12, f1, f2, z)
     results["stormer_verlet"] = check_reversibility(sv, momentum_flip, points2, 1e-8)
 

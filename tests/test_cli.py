@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,38 @@ class TestMain:
         path.write_text(path.read_text().replace("0.5", text))
         assert main(["run", str(path)]) == 1
         assert "sampler.delta" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    # A config for each field, with ``x`` in one of its entries.
+    LIST_FIELDS = {
+        "target.variances": lambda x: ({"name": "anisotropic_gaussian", "variances": [1.0, x]}, None),
+        "target.eigenvalues.values": lambda x: (
+            {"name": "hilbert_quartic", "eigenvalues": {"values": [x, 0.5]}}, None
+        ),
+        "target.coefficients": lambda x: (
+            {
+                "name": "hilbert_linear",
+                "eigenvalues": {"power_law": {"d": 2}},
+                "coefficients": [x, 1.0],
+            },
+            None,
+        ),
+        "run.q0": lambda x: ({"name": "standard_gaussian", "dim": 2}, [x, 0.0]),
+    }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, x) for field in LIST_FIELDS for x in (math.nan, math.inf)] + [("run.q0", "a")],
+    )
+    def test_bad_list_entry_is_a_config_error(self, tmp_path, capsys, field, value):
+        config = rwmc_config(str(tmp_path / "out"), n_steps=20)
+        config["target"], q0 = self.LIST_FIELDS[field](value)
+        if config["target"]["name"].startswith("hilbert"):
+            config["sampler"] = {"name": "pcn", "delta": 0.5}
+        if q0 is not None:
+            config["run"]["q0"] = q0
+        assert main(["run", str(write_config(tmp_path, config))]) == 1
+        assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

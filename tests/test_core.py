@@ -325,6 +325,11 @@ class TestMixtureStep:
                 found = True
         assert found
 
+    def test_nan_weights_are_a_configuration_error(self, rng):
+        kernel = self._shift_kernel(np.array([1.0]))
+        with pytest.raises(ConfigurationError):
+            mixture_step([kernel, kernel], lambda q: np.array([math.nan, 1.0]), np.zeros(1), rng)
+
     def test_empty_kernel_list(self, rng):
         with pytest.raises(ConfigurationError):
             mixture_step([], lambda q: np.array([]), np.zeros(1), rng)

@@ -42,8 +42,9 @@ from invmh.finite_dim import (
     _relativistic_envelope,
     _relativistic_momentum_sampler,
 )
+from invmh.gaussian import SpectralGaussian, power_law_eigenvalues
 from invmh.hilbert import default_hilbert_target
-from invmh.targets import anisotropic_gaussian, rosenbrock, standard_gaussian
+from invmh.targets import anisotropic_gaussian, hilbert_linear, rosenbrock, standard_gaussian
 
 from conftest import assert_grad_consistent, point_norm
 
@@ -542,6 +543,18 @@ class TestWorkCounts:
         assert counts.calls["force"] == forces_per_step * self.N + 1
         assert counts.calls["eval"] == self.N + 1
 
+    def test_aux_variances(self):
+        # The log-RN reads variances(q) through the trajectory ends' memos:
+        # once per step at the proposal, once at the chain's start.  The
+        # draw at the current state sees no memo and adds one per step.
+        counts = _Counts()
+        target = default_hilbert_target(16)
+        lam = target.reference.eigenvalues
+        variances = counts.wrap("variances", lambda q: lam * (1.0 + 0.4 * np.tanh(q) ** 2))
+        kernel = inf_hmc(target, AuxLaw(variances=variances), delta1=0.1, n=3)
+        run_chain(kernel, np.zeros(16), self.N, np.random.default_rng(9))
+        assert counts.calls["variances"] == 2 * self.N + 1
+
 
 class TestNonFiniteParameters:
     """A NaN or infinite parameter, or a step count ``n`` that is not an
@@ -573,6 +586,13 @@ class TestNonFiniteParameters:
             "inf_hmc.delta2": lambda x: inf_hmc(hilbert, AuxLaw(), delta1=0.1, delta2=x),
             "inf_mala.delta": lambda x: inf_mala(hilbert, delta=x),
             "gen_langevin.delta": lambda x: gen_langevin(surrogate, delta=x),
+            "anisotropic_gaussian.variances": lambda x: anisotropic_gaussian([1.0, x]),
+            "SpectralGaussian.eigenvalues": lambda x: SpectralGaussian(np.array([x, 0.5])),
+            "power_law_eigenvalues.c": lambda x: power_law_eigenvalues(4, c=x),
+            "power_law_eigenvalues.p": lambda x: power_law_eigenvalues(4, p=x),
+            "hilbert_linear.coefficients": lambda x: hilbert_linear([1.0, 0.5], [x, 1.0]),
+            "rosenbrock.a": lambda x: rosenbrock(2, a=x),
+            "rosenbrock.b": lambda x: rosenbrock(2, b=x),
         }
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -583,6 +603,9 @@ class TestNonFiniteParameters:
             "rmhmc.delta", "relativistic_hmc.m", "relativistic_hmc.c",
             "gaussian_jump.scale", "rwmc.scale", "diagonal mass", "dense mass",
             "inf_hmc.delta1", "inf_hmc.delta2", "inf_mala.delta", "gen_langevin.delta",
+            "anisotropic_gaussian.variances", "SpectralGaussian.eigenvalues",
+            "power_law_eigenvalues.c", "power_law_eigenvalues.p",
+            "hilbert_linear.coefficients", "rosenbrock.a", "rosenbrock.b",
         ],
     )
     def test_rejected_at_construction(self, name, value):
@@ -726,8 +749,8 @@ class TestSurrogateHmc:
             target,
             gaussian_momentum(2),
             HmcConfig(delta=0.2, n=2),
-            f1=lambda q, v: v,
-            f2=lambda q, v: -grad(q),
+            f1=lambda z: z.v,
+            f2=lambda z: -grad(z.q),
             scheme="stormer_verlet",
             dim=2,
         )

@@ -20,7 +20,7 @@ from invmh import (
     stormer_verlet,
     strang_hilbert,
 )
-from invmh.integrators import DivergenceError
+from invmh.integrators import REVERSE_TOL, DivergenceError
 
 from conftest import point_norm
 
@@ -175,23 +175,23 @@ class TestStrangHilbert:
 class TestImplicitSteps:
     def test_euler_b_explicit_case(self):
         # f1 = f1(v), f2 = f2(q0): v = -0.1 then q = 1 + 0.1 v = 0.99.
-        f1 = lambda q, v: v
-        f2 = lambda q, v: -q
+        f1 = lambda z: z.v
+        f2 = lambda z: -z.q
         z = ExtendedPoint(np.array([1.0]), np.array([0.0]))
         out = euler_b_step(0.1, f1, f2, z)
         assert out.v[0] == pytest.approx(-0.1, abs=1e-12)
         assert out.q[0] == pytest.approx(0.99, abs=1e-12)
 
     def test_zero_step_identity(self, rng):
-        f1 = lambda q, v: v + q
-        f2 = lambda q, v: -q + v
+        f1 = lambda z: z.v + z.q
+        f2 = lambda z: -z.q + z.v
         z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
         assert point_norm(euler_b_step(0.0, f1, f2, z), z) == 0.0
         assert point_norm(euler_a_step(0.0, f1, f2, z), z) == 0.0
 
     def test_euler_a_is_adjoint_of_euler_b(self, rng):
-        f1 = lambda q, v: v / (1.0 + q**2)
-        f2 = lambda q, v: -q - 0.2 * v**2 * q
+        f1 = lambda z: z.v / (1.0 + z.q**2)
+        f2 = lambda z: -z.q - 0.2 * z.v**2 * z.q
         delta = 0.05
         for z in random_points(rng, 2, 30, scale=0.7):
             forward = euler_a_step(delta, f1, f2, z)
@@ -201,8 +201,8 @@ class TestImplicitSteps:
     def test_nonconvergence_raises_with_residual(self):
         # Euler-A is implicit in q; a field with |delta * df1/dq| > 1 makes
         # the fixed-point map expansive without overflowing.
-        f1 = lambda q, v: -1.05 * q
-        f2 = lambda q, v: np.zeros_like(q)
+        f1 = lambda z: -1.05 * z.q
+        f2 = lambda z: np.zeros_like(z.q)
         z = ExtendedPoint(np.array([1.0]), np.array([1.0]))
         with pytest.raises(FixedPointError) as info:
             euler_a_step(1.0, f1, f2, z)
@@ -245,8 +245,8 @@ class TestStormerVerlet:
     def test_reduces_to_leapfrog_for_separable_fields(self, rng):
         f1v = lambda v: np.tanh(v)
         f2q = lambda q: -(q**3)
-        f1 = lambda q, v: f1v(v)
-        f2 = lambda q, v: f2q(q)
+        f1 = lambda z: f1v(z.v)
+        f2 = lambda z: f2q(z.q)
         delta = 0.2
         for z in random_points(rng, 2, 20, scale=0.6):
             implicit = stormer_verlet(3, delta, f1, f2, z)
@@ -254,16 +254,16 @@ class TestStormerVerlet:
             assert point_norm(implicit, explicit) <= 1e-12
 
     def test_zero_step_identity(self, rng):
-        f1 = lambda q, v: v * q
-        f2 = lambda q, v: -q
+        f1 = lambda z: z.v * z.q
+        f2 = lambda z: -z.q
         z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
         assert point_norm(stormer_verlet(2, 0.0, f1, f2, z), z) == 0.0
 
     def test_flip_reversible_with_parity_conditions(self, rng):
         # f1 odd in v, f2 even in v: the implicit scheme is momentum-flip
         # reversible.
-        f1 = lambda q, v: v / (1.0 + q**2)
-        f2 = lambda q, v: -q * (1.0 + 0.3 * v**2)
+        f1 = lambda z: z.v / (1.0 + z.q**2)
+        f2 = lambda z: -z.q * (1.0 + 0.3 * z.v**2)
         step = lambda z: stormer_verlet(2, 0.1, f1, f2, z)
         report = check_reversibility(
             step, momentum_flip, random_points(rng, 2, 100, scale=0.7), tol=1e-8
@@ -271,12 +271,31 @@ class TestStormerVerlet:
         assert report.passed
 
     def test_symmetric_scheme_inverts_by_negation(self, rng):
-        f1 = lambda q, v: v / (1.0 + q**2)
-        f2 = lambda q, v: -q - 0.2 * np.sin(v)
+        f1 = lambda z: z.v / (1.0 + z.q**2)
+        f2 = lambda z: -z.q - 0.2 * np.sin(z.v)
         for z in random_points(rng, 2, 20, scale=0.6):
             fwd = stormer_verlet(2, 0.15, f1, f2, z)
             back = stormer_verlet(2, -0.15, f1, f2, fwd)
             assert point_norm(back, z) <= 1e-9
+
+    def test_points_at_one_position_share_its_memo(self, rng):
+        # The fields read a position-only function through the memo: with
+        # the reverse-step replay, every position of an n=2 trajectory is
+        # met by several points (Euler-B's iterates, the replays' starts),
+        # and the function runs once at each.
+        calls = []
+
+        def sine(q):
+            calls.append(q.tobytes())
+            return np.sin(q)
+
+        f1 = lambda z: z.v / (1.0 + z.cached(sine) ** 2)
+        f2 = lambda z: -z.q * (1.0 + 0.3 * z.v**2) - z.cached(sine)
+        z = ExtendedPoint(0.7 * rng.standard_normal(2), 0.7 * rng.standard_normal(2), {})
+        end = stormer_verlet(2, 0.1, f1, f2, z, reverse_tol=REVERSE_TOL)
+        assert len(calls) == len(set(calls))
+        np.testing.assert_array_equal(z.memo[sine], np.sin(z.q))
+        np.testing.assert_array_equal(end.memo[sine], np.sin(end.q))
 
 
 class TestPalindromicCompose:
