@@ -71,8 +71,12 @@ class HmcConfig:
     constructors.
 
     ``delta`` sets the leapfrog pair ``(delta/2, delta)``; ``delta1`` and
-    ``delta2`` override the kick and drift steps individually.  ``mass`` is
-    a diagonal (1-d) or dense SPD (2-d) mass matrix, identity when omitted.
+    ``delta2`` override the kick and drift steps individually.  They may be
+    negative: a time-reversed leapfrog is still reversible, so the momentum
+    flip still makes it an involution.  A zero drift step is rejected (the
+    chain could never move), a zero kick step is not (a random walk).
+    ``mass`` is a diagonal (1-d) or dense SPD (2-d) mass matrix, identity
+    when omitted.
     """
 
     delta: float
@@ -88,6 +92,8 @@ class HmcConfig:
         require_count(n=self.n)
         if self.delta1 is None and self.delta <= 0:
             raise ConfigurationError("step size delta must be positive")
+        if self.steps()[1] == 0:
+            raise ConfigurationError("drift step must be nonzero: the chain could never move")
 
     def steps(self) -> tuple[float, float]:
         d1 = self.delta / 2.0 if self.delta1 is None else self.delta1
@@ -233,6 +239,7 @@ def rwmc(
     ``1 ∧ exp(U(q) + K(v) - U(q + v) - K(-v))``; for symmetric jump kinetics
     the K terms cancel and the classical Metropolis rule remains.
     """
+    require_count(dim=dim)
     if jump is None:
         jump = gaussian_jump(dim, scale)
 
@@ -401,19 +408,36 @@ class PositionMetric:
     dense SPD matrix.  ``grad_quad_form(q, v)`` is
     ``grad_q (1/2) <M(q)^{-1} v, v>`` and ``grad_half_logdet(q)`` is
     ``grad_q (1/2) log det M(q)``; no automatic differentiation is done.
+
+    ``grad_quad_form_bound``, optional, applies to elementwise metrics only
+    (``M(q)`` diagonal with ``M_kk`` a function of ``q_k`` alone, so that
+    ``grad_quad_form(q, v) = D(q) * v**2``): it claims
+    ``|D_k(q)| <= grad_quad_form_bound`` for every ``q`` and ``k``.
+    :func:`rmhmc` then skips the reverse-step replay of the steps the bound
+    certifies (see :func:`~invmh.integrators.stormer_verlet`); a bound that
+    is too small can let through a step that its reverse step would not
+    undo.  Other metrics ignore it.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
     grad_quad_form: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_half_logdet: Callable[[np.ndarray], np.ndarray]
+    grad_quad_form_bound: float | None = None
+
+    def __post_init__(self):
+        require_finite(grad_quad_form_bound=self.grad_quad_form_bound)
+        if self.grad_quad_form_bound is not None and self.grad_quad_form_bound < 0:
+            raise ConfigurationError("grad_quad_form_bound must be >= 0")
 
 
 def diagonal_quadratic_metric() -> PositionMetric:
-    """The metric ``M(q) = diag(1 + q_i^2)`` with analytic derivatives."""
+    """The metric ``M(q) = diag(1 + q_i^2)`` with analytic derivatives;
+    ``|D(q)| = |q| / (1 + q^2)^2`` peaks at ``9 / (16 sqrt 3) < 0.325``."""
     return PositionMetric(
         matrix=lambda q: 1.0 + q**2,
         grad_quad_form=lambda q, v: -(v**2) * q / (1.0 + q**2) ** 2,
         grad_half_logdet=lambda q: q / (1.0 + q**2),
+        grad_quad_form_bound=0.325,
     )
 
 
@@ -465,7 +489,13 @@ def rmhmc(
     metric whose entries each depend on their own coordinate, Euler-A's
     position equation is solved by simplified Newton and Euler-B's velocity
     equation in closed form, at a cost per step that does not grow with
-    ``dim``; otherwise both by fixed-point iteration.
+    ``dim``; otherwise both by fixed-point iteration.  Such a metric with a
+    ``grad_quad_form_bound`` B skips the replay of a step when
+    ``c = 2 B (delta/2) max |v| < 1/3`` at its Euler-B velocity ``v`` and
+    Euler-B's closed form applies at its endpoint: the reverse position map
+    then has slope at most ``c`` everywhere, its Newton solve contracts by
+    at most ``2c / (1 - c) < 1``, and the reverse velocity root is the one
+    the closed form returns.
     """
     grad = _require_grad(target)
     require_finite(delta=delta)
@@ -532,6 +562,21 @@ def rmhmc(
             return z.v / metric.matrix(z.q)
 
         hooks = dict(df1_dq=lambda z: 2.0 * z.v * quad_diag(z.q), velocity_root=velocity_root)
+        bound = metric.grad_quad_form_bound
+        if bound is not None:
+
+            def reverse_certified(h: float, mid: ExtendedPoint, end: ExtendedPoint) -> bool:
+                """Both reverse solves provably return the step's values:
+                at the Euler-B velocity, their Jacobians ``2 h D v`` are at
+                most ``c`` in size at every position, and Euler-B's closed
+                form applies at ``end`` (which the replay and the next step
+                read too)."""
+                return (
+                    (2.0 * bound * h) * np.abs(mid.v).max() < 1.0 / 3.0
+                    and end.cached(checked_quad_diag) is not False
+                )
+
+            hooks["reverse_certified"] = reverse_certified
 
     integrator = lambda z: integrators.stormer_verlet(
         n, delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL, **hooks
@@ -596,7 +641,8 @@ def surrogate_hmc(
             raise ConfigurationError("pass either fields or f1/f2, not both")
         f1, f2 = fields.f1, fields.f2
         if fields.f1_odd and dim is not None:
-            if not fields.check_f1_odd(dim, np.random.default_rng(0)):
+            points = scheme == "stormer_verlet"
+            if not fields.check_f1_odd(dim, np.random.default_rng(0), points=points):
                 raise ConfigurationError("declared parity f1(-v) = -f1(v) fails a spot check")
     d1, d2 = cfg.steps()
     if scheme in ("leapfrog", "stormer_verlet") and (f1 is None or f2 is None):

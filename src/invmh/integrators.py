@@ -67,22 +67,38 @@ class SurrogateField:
     """Separable surrogate force pair: ``f1`` maps velocities (the drift),
     ``f2`` maps positions (the kick).
 
-    ``f1_odd`` declares the parity ``f1(-v) == -f1(v)`` that makes the
-    leapfrog momentum-flip reversible; a declared parity is verified by a
-    randomized spot check when the field is wired into a sampler.
+    For :func:`stormer_verlet` the fields are point fields ``f1(z)``,
+    ``f2(z)`` instead.
+
+    ``f1_odd`` declares the parity ``f1(-v) == -f1(v)`` (``f1(q, -v) ==
+    -f1(q, v)`` for point fields) that makes the integrator momentum-flip
+    reversible; a declared parity is verified by a randomized spot check
+    when the field is wired into a sampler.
     """
 
-    f1: Callable[[np.ndarray], np.ndarray]
-    f2: Callable[[np.ndarray], np.ndarray]
+    f1: Callable
+    f2: Callable
     f1_odd: bool = False
 
     def check_f1_odd(
-        self, dim: int, rng: np.random.Generator, n_points: int = 50, tol: float = 1e-10
+        self,
+        dim: int,
+        rng: np.random.Generator,
+        n_points: int = 50,
+        tol: float = 1e-10,
+        points: bool = False,
     ) -> bool:
+        """Whether ``f1`` is odd in ``v`` at ``n_points`` random velocities
+        (and, with ``points``, random positions shared by the two points)."""
         for _ in range(n_points):
             v = rng.standard_normal(dim)
-            plus = np.asarray(self.f1(v), dtype=float)
-            minus = np.asarray(self.f1(-v), dtype=float)
+            if points:
+                q, memo = rng.standard_normal(dim), {}
+                plus = self.f1(ExtendedPoint(q, v, memo))
+                minus = self.f1(ExtendedPoint(q, -v, memo))
+            else:
+                plus, minus = self.f1(v), self.f1(-v)
+            plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
             if not np.all(np.isfinite(plus)) or np.max(np.abs(plus + minus)) > tol:
                 return False
         return True
@@ -105,28 +121,31 @@ def rotation(t: float, z: ExtendedPoint) -> ExtendedPoint:
     return ExtendedPoint(c * z.q + s * z.v, -s * z.q + c * z.v)
 
 
-def _require_finite(z: ExtendedPoint) -> ExtendedPoint:
-    if not (np.isfinite(z.q).all() and np.isfinite(z.v).all()):
+def _require_finite(q: np.ndarray, v: np.ndarray) -> None:
+    if not (np.isfinite(q).all() and np.isfinite(v).all()):
         raise DivergenceError("non-finite state encountered during integration")
-    return z
 
 
-def _kick_flow_kick(n: int, delta1: float, flow, force, z: ExtendedPoint) -> list[ExtendedPoint]:
-    """The points ``[z, z_1, ..., z_n]`` after each of ``n`` steps
-    ``kick(delta1) . flow . kick(delta1)``, with ``flow(q, v) -> (q, v)``.
-    The force is evaluated once per position (a step's closing kick and the
-    next step's opening kick share it), the first read from ``z``'s memo;
-    each later point's memo holds its force.  Raises
-    :class:`DivergenceError` on non-finite states."""
+def _kick_flow_kick(
+    n: int, delta1: float, flow, force, z: ExtendedPoint, trajectory: list | None = None
+) -> ExtendedPoint:
+    """The point ``z_n`` after ``n`` steps ``kick(delta1) . flow . kick(delta1)``
+    from ``z``, with ``flow(q, v) -> (q, v)``; with ``trajectory``, each
+    ``z_1, ..., z_n`` is also appended to it.  The force is evaluated once
+    per position (a step's closing kick and the next step's opening kick
+    share it), the first read from ``z``'s memo; each built point's memo
+    holds its force.  Raises :class:`DivergenceError` on non-finite states,
+    checked at every step."""
     f = np.asarray(z.cached(force), dtype=float)
     q, v = z.q, z.v
-    trajectory = [z]
     for _ in range(n):
         q, v = flow(q, v + delta1 * f)
         f = np.asarray(force(q), dtype=float)
         v = v + delta1 * f
-        trajectory.append(_require_finite(ExtendedPoint(q, v, {force: f})))
-    return trajectory
+        _require_finite(q, v)
+        if trajectory is not None:
+            trajectory.append(ExtendedPoint(q, v, {force: f}))
+    return ExtendedPoint(q, v, {force: f}) if trajectory is None else trajectory[-1]
 
 
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
@@ -137,7 +156,7 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     if n < 1:
         raise ConfigurationError("leapfrog requires n >= 1")
     drift_flow = lambda q, v: (q + delta2 * np.asarray(f1(v), dtype=float), v)
-    return _kick_flow_kick(n, delta1, drift_flow, f2, z)[-1]
+    return _kick_flow_kick(n, delta1, drift_flow, f2, z)
 
 
 def strang_hilbert(
@@ -154,8 +173,8 @@ def strang_hilbert(
         raise ConfigurationError("strang_hilbert requires n >= 1")
     c, s = math.cos(delta2), math.sin(delta2)
     rotation_flow = lambda q, v: (c * q + s * v, -s * q + c * v)
-    trajectory = _kick_flow_kick(n, -delta1, rotation_flow, f, z)
-    return trajectory[-1], trajectory
+    trajectory = [z]
+    return _kick_flow_kick(n, -delta1, rotation_flow, f, z, trajectory), trajectory
 
 
 def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
@@ -245,7 +264,8 @@ def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> 
     solution.  The position follows explicitly."""
     v = _solve_velocity(delta, f2, z, velocity_root)
     q = z.q + delta * np.asarray(f1(ExtendedPoint(z.q, v, z.memo)), dtype=float)
-    return _require_finite(ExtendedPoint(q, v, {}))
+    _require_finite(q, v)
+    return ExtendedPoint(q, v, {})
 
 
 def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> ExtendedPoint:
@@ -259,7 +279,9 @@ def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> Extende
     points without a memo.  Numerically the adjoint of Euler-B:
     ``euler_a(delta) == inverse(euler_b(-delta))``."""
     end = ExtendedPoint(_solve_position(delta, f1, z, df1_dq), z.v, {})
-    return _require_finite(end._replace(v=z.v + delta * np.asarray(f2(end), dtype=float)))
+    v = z.v + delta * np.asarray(f2(end), dtype=float)
+    _require_finite(end.q, v)
+    return end._replace(v=v)
 
 
 def stormer_verlet(
@@ -271,6 +293,7 @@ def stormer_verlet(
     df1_dq=None,
     velocity_root=None,
     reverse_tol: float | None = None,
+    reverse_certified=None,
 ) -> ExtendedPoint:
     """Generalized Stormer-Verlet: ``n`` repetitions of
     ``euler_a(delta/2) . euler_b(delta/2)``; ``df1_dq`` and
@@ -293,14 +316,32 @@ def stormer_verlet(
     update land, to within the solver tolerance), and raises
     :class:`FixedPointError` unless they land within ``reverse_tol`` of this
     step's intermediate velocity and start position: every returned step is
-    undone by its reverse step."""
+    undone by its reverse step.
+
+    ``reverse_certified(delta/2, mid, end)``, when given, is asked after
+    each step (``mid`` its Euler-B point, ``end`` its endpoint) and skips
+    that step's replay when it returns True; it must do so only where a
+    bound proves that both reverse solves return this step's values.  Say
+    the reverse position map ``g(q) = mid.q + (delta/2) f1(q, -mid.v)`` has
+    a diagonal Jacobian bounded by ``c`` at every position.  ``c < 1``
+    makes its root unique, but the reverse solve is simplified Newton with
+    the slope ``J0`` frozen at its start, whose error contracts by
+    ``|g'(xi) - J0| / |1 - J0| <= 2c / (1 - c)`` per update: below 1 only
+    for ``c < 1/3``, the limit a certificate must keep.  At ``c < 1`` some
+    reverse solves stall, and a certificate let through steps that the
+    replay rejects (for :func:`~invmh.finite_dim.rmhmc` with
+    :func:`~invmh.finite_dim.diagonal_quadratic_metric` at delta = 1 and
+    d = 1..3, 108 of 3946 returned steps had a reverse step that raised
+    :class:`FixedPointError`)."""
     if n < 1:
         raise ConfigurationError("stormer_verlet requires n >= 1")
     half = delta / 2.0
     for _ in range(n):
         mid = euler_b_step(half, f1, f2, z, velocity_root)
         end = euler_a_step(half, f1, f2, mid, df1_dq)
-        if reverse_tol is not None:
+        if reverse_tol is not None and not (
+            reverse_certified is not None and reverse_certified(half, mid, end)
+        ):
             miss = max(
                 np.abs(_solve_velocity(half, f2, momentum_flip(end), velocity_root) + mid.v).max(),
                 np.abs(_solve_position(half, f1, momentum_flip(mid), df1_dq) - z.q).max(),
@@ -333,7 +374,8 @@ def palindromic_compose(
         for _ in range(n):
             for stage, t in ordered:
                 z = stage(t, z)
-        return _require_finite(z)
+        _require_finite(z.q, z.v)
+        return z
 
     return composed
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, TargetPotential, require_finite
+from .core import ConfigurationError, TargetPotential, require_count, require_finite
 from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .hilbert import HilbertTarget, quartic_bounded_phi
 
@@ -19,6 +19,7 @@ __all__ = [
 
 def standard_gaussian(dim: int) -> TargetPotential:
     """U(q) = |q|^2 / 2."""
+    require_count(dim=dim)
     return TargetPotential(
         eval=lambda q: 0.5 * float((q**2).sum()),
         grad=lambda q: np.asarray(q, dtype=float),

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import invmh.finite_dim
+import invmh.integrators
 from invmh import (
     AuxLaw,
     ConfigurationError,
@@ -44,6 +46,7 @@ from invmh.finite_dim import (
 )
 from invmh.gaussian import SpectralGaussian, power_law_eigenvalues
 from invmh.hilbert import default_hilbert_target
+from invmh.integrators import FixedPointError
 from invmh.targets import anisotropic_gaussian, hilbert_linear, rosenbrock, standard_gaussian
 
 from conftest import assert_grad_consistent, point_norm
@@ -350,6 +353,16 @@ class TestRmhmc:
         assert result.alpha == 0.0
         assert result.next[0] == 0.4
 
+    def test_reverse_stall_still_rejects_with_the_bound(self):
+        # c = 2 B (delta/2) max|v| is about 0.6 here: the reverse position
+        # map contracts (c < 1), but its simplified Newton solve, whose rate
+        # bound 2c / (1 - c) is above 1, stalls.  The step must go on being
+        # rejected, so the replay may be skipped only for c < 1/3.
+        kernel = rmhmc(standard_gaussian(1), diagonal_quadratic_metric(), delta=1.0, n=1, dim=1)
+        z = ExtendedPoint(np.array([-0.16900491]), np.array([-2.03370472]))
+        with pytest.raises(FixedPointError):
+            kernel.involution.step(z)
+
     @staticmethod
     def _coupled_metric() -> PositionMetric:
         """A diagonal metric whose entries depend on every coordinate, so
@@ -507,6 +520,53 @@ class TestWorkCounts:
         # starts, and the last kick.
         assert calls["grad_quad_form"] == 5 * n + 2
 
+    def test_rmhmc_certified_steps_skip_the_replay(self, monkeypatch):
+        # With the metric's bound, each step whose reverse solves are
+        # certified makes no reverse solve; without it, every step replays.
+        # The chains are the same: a certified replay could not reject.
+        solves = collections.Counter()
+        solve = invmh.integrators.fixed_point_solve
+        stormer_verlet = invmh.integrators.stormer_verlet
+
+        def counted_solve(step_map, x0, slope=None):
+            solves["solves"] += 1
+            return solve(step_map, x0, slope)
+
+        def counted_stormer_verlet(*args, reverse_certified=None, **kwargs):
+            def certified(h, mid, end):
+                verdict = reverse_certified(h, mid, end)
+                solves["certified"] += verdict
+                return verdict
+
+            hook = None if reverse_certified is None else certified
+            return stormer_verlet(*args, reverse_certified=hook, **kwargs)
+
+        monkeypatch.setattr(invmh.integrators, "fixed_point_solve", counted_solve)
+        monkeypatch.setattr(invmh.integrators, "stormer_verlet", counted_stormer_verlet)
+        n, chains = self.N, {}
+        for bound in (0.325, None):
+            counts = _Counts()
+            metric = dataclasses.replace(
+                counts.metric(diagonal_quadratic_metric()), grad_quad_form_bound=bound
+            )
+            kernel = rmhmc(counts.target(anisotropic_gaussian([1.0, 0.25])), metric, 0.3, 1, 2)
+            counts.calls.clear()
+            solves.clear()
+            chains[bound] = run_chain(kernel, np.zeros(2), n, np.random.default_rng(9))
+            certified = solves["certified"]
+            # One forward Euler-A solve per step, and one reverse solve per
+            # step that is not certified.
+            assert solves["solves"] == 2 * n - certified
+            # The replay's Newton start is where it spends its own
+            # grad_quad_form call; D at the endpoint is read either way.
+            assert counts.calls["grad_quad_form"] == 5 * n + 2 - certified
+            if bound is None:
+                assert certified == 0
+            else:
+                assert certified >= 0.9 * n
+        np.testing.assert_array_equal(chains[0.325].positions, chains[None].positions)
+        np.testing.assert_array_equal(chains[0.325].alphas, chains[None].alphas)
+
     def test_pcn(self):
         # phi is read through the memo: once at the start, then once per
         # step at the proposal.
@@ -643,6 +703,31 @@ class TestNonFiniteParameters:
         self._step_count_builders()[name](np.int64(3))
 
 
+class TestOutOfRangeParameters:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: rwmc(standard_gaussian(2), dim=0),
+            lambda: standard_gaussian(0),
+            lambda: HmcConfig(delta=0.0, delta1=0.1),
+            lambda: HmcConfig(delta=0.5, delta2=0.0),
+        ],
+        ids=["rwmc.dim", "standard_gaussian.dim", "HmcConfig.delta", "HmcConfig.delta2"],
+    )
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    def test_time_reversed_leapfrog_is_an_involution(self, rng):
+        # Negative kick and drift steps run the leapfrog backwards in time;
+        # the momentum flip still makes it an involution.
+        kernel = hmc(standard_gaussian(2), HmcConfig(delta=0.5, delta1=-0.2, delta2=-0.4, n=3), 2)
+        for _ in range(20):
+            z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
+            twice = kernel.involution.apply(kernel.involution.apply(z))
+            assert point_norm(twice, z) <= 1e-12
+
+
 class TestSurrogateHmc:
     def test_rwmc_recovery(self, rng):
         # Kick disabled (delta1 = 0, zero force), identity drift with
@@ -741,6 +826,38 @@ class TestSurrogateHmc:
             target, gaussian_momentum(2), HmcConfig(delta=0.3), fields=good, dim=2
         )
         assert kernel.name == "surrogate_hmc"
+
+    def test_surrogate_field_with_stormer_verlet(self, rng):
+        # Point fields are spot-checked with points.
+        from invmh import SurrogateField
+
+        target = standard_gaussian(2)
+        fields = SurrogateField(
+            f1=lambda z: z.v / (1.0 + z.q**2), f2=lambda z: -z.q, f1_odd=True
+        )
+        kernel = surrogate_hmc(
+            target, gaussian_momentum(2), HmcConfig(delta=0.2), fields=fields,
+            scheme="stormer_verlet", dim=2,
+        )
+        for _ in range(30):
+            z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
+            twice = kernel.involution.apply(kernel.involution.apply(z))
+            assert point_norm(twice, z) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "scheme, f1",
+        [("leapfrog", lambda v: v**2), ("stormer_verlet", lambda z: z.v**2 + z.q)],
+    )
+    def test_even_f1_rejected_under_both_schemes(self, scheme, f1):
+        from invmh import SurrogateField
+
+        f2 = (lambda q: -q) if scheme == "leapfrog" else (lambda z: -z.q)
+        fields = SurrogateField(f1=f1, f2=f2, f1_odd=True)
+        with pytest.raises(ConfigurationError, match="parity"):
+            surrogate_hmc(
+                standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.2),
+                fields=fields, scheme=scheme, dim=2,
+            )
 
     def test_stormer_verlet_scheme(self, rng):
         target = standard_gaussian(2)
