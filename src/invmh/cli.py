@@ -339,22 +339,16 @@ def _validate_output_section(config: dict) -> dict:
     return {"directory": directory, "thinning": thinning}
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_chain_csv(path: Path, positions: np.ndarray, alphas, accepted, thinning: int):
     d = positions.shape[1]
     header = "step," + ",".join(f"q_{i + 1}" for i in range(d)) + ",alpha,accepted"
-    lines = [header]
-    for step in range(0, positions.shape[0], thinning):
-        coords = ",".join(_format_float(x) for x in positions[step])
-        if step == 0:
-            lines.append(f"0,{coords},,")
-        else:
-            lines.append(
-                f"{step},{coords},{_format_float(alphas[step - 1])},{int(accepted[step - 1])}"
-            )
+    # Python floats, whose repr is the shortest round-tripping form.
+    rows = positions[::thinning].tolist()
+    alphas = alphas.tolist()
+    flags = accepted.astype(int).tolist()
+    lines = [header, "0," + ",".join(map(repr, rows[0])) + ",,"]
+    for step, row in zip(range(thinning, positions.shape[0], thinning), rows[1:]):
+        lines.append(f"{step},{','.join(map(repr, row))},{alphas[step - 1]!r},{flags[step - 1]}")
     path.write_text("\n".join(lines) + "\n")
 
 

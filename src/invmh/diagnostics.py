@@ -21,6 +21,8 @@ __all__ = [
 
 DEFAULT_PERMUTATIONS = 999
 DEFAULT_MAX_PAIRS = 2000
+# Rows of the gap matrix built at a time by detailed_balance_test.
+ROW_BLOCK = 128
 
 
 def transition_pairs(observable: np.ndarray) -> np.ndarray:
@@ -43,13 +45,18 @@ def detailed_balance_test(
     The statistic is the energy distance between the sample of pairs and its
     coordinate-swapped mirror; the reference distribution flips each pair
     independently.  Swapping is an isometry of the plane, which collapses
-    each permutation statistic to the quadratic form
-    ``(2/n^2) s^T (C - E) s`` over signs ``s``, with ``C`` the cross and
-    ``E`` the within distance matrix, so all permutations are evaluated with
-    one matrix product.
+    each permutation statistic to the quadratic form ``(2/n^2) s^T G s``
+    over signs ``s``, with the gap matrix
+    ``G_ij = |a_i - T a_j| - |a_i - a_j|``.  ``T`` is an isometric
+    involution, so ``G`` is symmetric and
+    ``s^T G s = sum_i G_ii + 2 sum_{i<j} s_i s_j G_ij``: only the upper
+    triangle is built, in strips of ``ROW_BLOCK`` rows straight from the
+    pair coordinates, and all permutations of a strip are evaluated with
+    one matrix product.  Scratch memory is ``O(ROW_BLOCK * n)`` besides the
+    ``n`` by ``n_permutations`` signs; no ``n`` by ``n`` matrix is held.
 
-    At most ``max_pairs`` pairs enter the distance matrices (a uniform
-    subsample is drawn above that); fewer than 100 pairs is an error.
+    At most ``max_pairs`` pairs enter the test (a uniform subsample is
+    drawn above that); fewer than 100 pairs is an error.
     Returns a p-value that is exact under exchangeability.
     """
     pairs = np.asarray(pairs, dtype=float)
@@ -64,20 +71,27 @@ def detailed_balance_test(
         pairs = pairs[idx]
         n = max_pairs
 
-    mirrored = pairs[:, ::-1]
-    sq = np.sum(pairs**2, axis=1)
-    # |a_i - a_j| and |a_i - T a_j| via the Gram trick; swapping preserves
-    # the squared norms.
-    within = sq[:, None] + sq[None, :] - 2.0 * (pairs @ pairs.T)
-    cross = sq[:, None] + sq[None, :] - 2.0 * (pairs @ mirrored.T)
-    np.maximum(within, 0.0, out=within)
-    np.maximum(cross, 0.0, out=cross)
-    gap = np.sqrt(cross) - np.sqrt(within)
+    signs = rng.integers(0, 2, size=(n, n_permutations)).astype(float) * 2.0 - 1.0
+    x, y = pairs[:, 0], pairs[:, 1]
+    # Upper-triangle weights of a strip's diagonal block: 1 on the diagonal,
+    # 2 above it (each off-diagonal gap stands for G_ij and G_ji).
+    head_weights = np.triu(np.full((ROW_BLOCK, ROW_BLOCK), 2.0), 1) + np.eye(ROW_BLOCK)
+    total = 0.0
+    quad = np.zeros(n_permutations)
+    for s0 in range(0, n, ROW_BLOCK):
+        b = min(ROW_BLOCK, n - s0)
+        xi, yi = x[s0 : s0 + b, None], y[s0 : s0 + b, None]
+        xj, yj = x[s0:], y[s0:]
+        cross = np.sqrt((xi - yj) ** 2 + (yi - xj) ** 2)
+        strip = cross - np.sqrt((xi - xj) ** 2 + (yi - yj) ** 2)
+        strip[:, :b] *= head_weights[:b, :b]
+        strip[:, b:] *= 2.0
+        total += float(strip.sum())
+        quad += np.einsum("ij,ij->j", signs[s0 : s0 + b], strip @ signs[s0:])
 
     scale = 2.0 / (n * n)
-    observed = scale * float(gap.sum())
-    signs = rng.integers(0, 2, size=(n, n_permutations)).astype(float) * 2.0 - 1.0
-    stats = scale * np.sum(signs * (gap @ signs), axis=0)
+    observed = scale * total
+    stats = scale * quad
     n_at_least = int(np.sum(stats >= observed - 1e-15))
     return (1 + n_at_least) / (1 + n_permutations)
 

@@ -624,10 +624,12 @@ def surrogate_hmc(
     which may read position-only work through ``z.cached``, shared per
     position; a step its reverse step would not undo is rejected) or
     ``"palindrome"`` (explicit ``stages`` of (flow, t), repeated ``cfg.n``
-    times).  Forces may be passed as bare callables, in
-    which case the caller vouches for the parity of ``f1`` (odd for
-    momentum-flip reversibility), or as a :class:`SurrogateField` whose
-    declared parity is spot-checked at construction.
+    times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and rejects
+    a config that sets ``delta1`` or ``delta2``.  Forces may be passed as
+    bare callables, in which case the caller vouches for the parity of
+    ``f1`` (odd for momentum-flip reversibility), or as a
+    :class:`SurrogateField` whose declared parity is spot-checked at
+    construction.
 
     With ``volume_preserving=True`` the acceptance uses the energy
     difference of ``H(q, v) = U(q) - aux.log_density_terms(q, v)``; the
@@ -650,6 +652,10 @@ def surrogate_hmc(
     if scheme == "leapfrog":
         integrator = lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
     elif scheme == "stormer_verlet":
+        if cfg.delta1 is not None or cfg.delta2 is not None:
+            raise ConfigurationError(
+                "the stormer_verlet scheme steps with delta; delta1 and delta2 do not apply"
+            )
         integrator = lambda z: integrators.stormer_verlet(
             cfg.n, cfg.delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL
         )

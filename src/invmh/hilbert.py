@@ -310,13 +310,18 @@ def inf_hmc(
     """Preconditioned HMC over the Gaussian reference (the general splitting
     scheme).  The classical instance uses ``delta1 = delta/2`` and
     ``delta2 = delta``; one step with the Langevin step sizes recovers the
-    preconditioned MALA kernel."""
+    preconditioned MALA kernel.  ``delta2`` is the rotation angle and
+    defaults to ``2 * delta1``.  It may be negative: a rotation run backwards
+    is still reversible, so the momentum flip still makes it an involution.
+    A zero rotation step is rejected (the chain could never move)."""
     require_finite(delta1=delta1, delta2=delta2)
     require_count(n=n)
     if delta1 < 0:
         raise ConfigurationError("delta1 must be nonnegative")
     if delta2 is None:
         delta2 = 2.0 * delta1
+    if delta2 == 0:
+        raise ConfigurationError("rotation step delta2 must be nonzero: the chain could never move")
     return _strang_kernel(target, aux, float(delta1), float(delta2), n, "inf_hmc")
 
 

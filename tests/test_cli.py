@@ -212,6 +212,15 @@ class TestMain:
         assert "sampler.delta" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_inf_hmc_zero_rotation_is_a_config_error(self, tmp_path, capsys):
+        # delta1 = 0 with delta2 omitted rotates by 2 * delta1 = 0: no move.
+        config = rwmc_config(str(tmp_path / "out"), n_steps=20)
+        config["target"] = {"name": "hilbert_quartic", "eigenvalues": {"values": [1.0, 0.5]}}
+        config["sampler"] = {"name": "inf_hmc", "delta1": 0.0}
+        assert main(["run", str(write_config(tmp_path, config))]) == 1
+        assert "delta2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     # A config for each field, with ``x`` in one of its entries.
     LIST_FIELDS = {
         "target.variances": lambda x: ({"name": "anisotropic_gaussian", "variances": [1.0, x]}, None),

@@ -12,7 +12,70 @@ from invmh.diagnostics import (
 )
 
 
+def dense_gram_detailed_balance_test(pairs, rng, n_permutations=999, max_pairs=2000):
+    """Reference: the full n x n gap matrix by the Gram trick, every
+    permutation statistic from one product with it (the implementation the
+    blocked upper-triangle one replaced)."""
+    pairs = np.asarray(pairs, dtype=float)
+    n = pairs.shape[0]
+    if n > max_pairs:
+        idx = rng.choice(n, size=max_pairs, replace=False)
+        idx.sort()
+        pairs = pairs[idx]
+        n = max_pairs
+    sq = np.sum(pairs**2, axis=1)
+    within = sq[:, None] + sq[None, :] - 2.0 * (pairs @ pairs.T)
+    cross = sq[:, None] + sq[None, :] - 2.0 * (pairs @ pairs[:, ::-1].T)
+    gap = np.sqrt(np.maximum(cross, 0.0)) - np.sqrt(np.maximum(within, 0.0))
+    scale = 2.0 / (n * n)
+    observed = scale * float(gap.sum())
+    signs = rng.integers(0, 2, size=(n, n_permutations)).astype(float) * 2.0 - 1.0
+    stats = scale * np.sum(signs * (gap @ signs), axis=0)
+    return (1 + int(np.sum(stats >= observed - 1e-15))) / (1 + n_permutations)
+
+
+def metropolis_ar1_pairs(rng, n, acceptance):
+    """``n`` disjoint transition pairs ``(x_2k, x_2k+1)`` of a stationary
+    AR(1) (coefficient 0.5) whose moves are kept with probability
+    ``acceptance``.  The pairs are exchangeable, so p-values spread over
+    (0, 1].  A refused move repeats the state: its pair has ``x == y``, and
+    flipping it leaves every statistic alone."""
+    x = np.empty(2 * n)
+    x[0] = rng.standard_normal()
+    for k in range(2 * n - 1):
+        move = 0.5 * x[k] + math.sqrt(0.75) * rng.standard_normal()
+        x[k + 1] = move if rng.random() < acceptance else x[k]
+    return x.reshape(n, 2)
+
+
 class TestDetailedBalanceTest:
+    # Row-block edges (ROW_BLOCK = 128) and the default cap; 0.05 acceptance
+    # leaves few pairs that flipping can move, so statistics tie often.
+    @pytest.mark.parametrize("acceptance", [1.0, 0.05])
+    @pytest.mark.parametrize("n_permutations", [199, 999])
+    @pytest.mark.parametrize(
+        "n, max_pairs, seeds",
+        [
+            (100, 2000, 3),
+            (127, 2000, 3),
+            (128, 2000, 3),
+            (129, 2000, 3),
+            (257, 2000, 3),
+            (2000, 2000, 1),
+            (700, 300, 3),
+        ],
+    )
+    def test_matches_dense_reference(self, n, max_pairs, seeds, n_permutations, acceptance):
+        for seed in range(seeds):
+            pairs = metropolis_ar1_pairs(np.random.default_rng(seed), n, acceptance)
+            expected = dense_gram_detailed_balance_test(
+                pairs, np.random.default_rng(100 + seed), n_permutations, max_pairs
+            )
+            got = detailed_balance_test(
+                pairs, np.random.default_rng(100 + seed), n_permutations, max_pairs
+            )
+            assert got == expected
+
     def test_exchangeable_pairs_hold_level(self):
         # Calibration: under exact exchangeability the test rejects at the
         # nominal level; over 200 replicates the 0.05-level rejection rate

@@ -703,6 +703,13 @@ class TestNonFiniteParameters:
         self._step_count_builders()[name](np.int64(3))
 
 
+def _stormer_verlet_kernel(cfg):
+    return surrogate_hmc(
+        standard_gaussian(2), gaussian_momentum(2), cfg,
+        f1=lambda z: z.v, f2=lambda z: -z.q, scheme="stormer_verlet", dim=2,
+    )
+
+
 class TestOutOfRangeParameters:
     @pytest.mark.parametrize(
         "build",
@@ -711,12 +718,33 @@ class TestOutOfRangeParameters:
             lambda: standard_gaussian(0),
             lambda: HmcConfig(delta=0.0, delta1=0.1),
             lambda: HmcConfig(delta=0.5, delta2=0.0),
+            # A zero rotation step: the default delta2 = 2 delta1, or explicit.
+            lambda: inf_hmc(default_hilbert_target(4), AuxLaw(), delta1=0.0),
+            lambda: inf_hmc(default_hilbert_target(4), AuxLaw(), delta1=0.1, delta2=0.0),
+            # Stormer-Verlet steps with delta, so delta1/delta2 would be ignored;
+            # the first config would build a kernel that never moves.
+            lambda: _stormer_verlet_kernel(HmcConfig(delta=0.0, delta1=0.1, delta2=0.3)),
+            lambda: _stormer_verlet_kernel(HmcConfig(delta=0.2, delta1=0.1)),
+            lambda: _stormer_verlet_kernel(HmcConfig(delta=0.2, delta2=0.3)),
         ],
-        ids=["rwmc.dim", "standard_gaussian.dim", "HmcConfig.delta", "HmcConfig.delta2"],
+        ids=[
+            "rwmc.dim", "standard_gaussian.dim", "HmcConfig.delta", "HmcConfig.delta2",
+            "inf_hmc.delta1=0", "inf_hmc.delta2=0", "stormer_verlet.delta=0",
+            "stormer_verlet.delta1", "stormer_verlet.delta2",
+        ],
     )
     def test_rejected_at_construction(self, build):
         with pytest.raises(ConfigurationError):
             build()
+
+    def test_inf_hmc_negative_rotation_is_an_involution(self, rng):
+        # A rotation run backwards is still reversible; the flip makes it
+        # an involution, so a negative delta2 is allowed.
+        kernel = inf_hmc(default_hilbert_target(4), AuxLaw(), delta1=0.1, delta2=-0.3, n=3)
+        for _ in range(20):
+            z = ExtendedPoint(rng.standard_normal(4), rng.standard_normal(4))
+            twice = kernel.involution.apply(kernel.involution.apply(z))
+            assert point_norm(twice, z) <= 1e-12
 
     def test_time_reversed_leapfrog_is_an_involution(self, rng):
         # Negative kick and drift steps run the leapfrog backwards in time;
