@@ -76,7 +76,7 @@ class ExtendedPoint(NamedTuple):
     """
 
     q: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     memo: dict | None = None
 
     def cached(self, fn: Callable[[np.ndarray], object]):
@@ -107,16 +107,18 @@ class TargetPotential:
 class AuxiliaryKernel:
     """The law of the auxiliary variable ``v`` given the position ``q``.
 
-    ``sample(q, rng)`` draws one ``v``.  ``log_density_terms(q, v)`` is the
-    contribution of the auxiliary law to the extended log-density: for
+    ``sample(z, rng)`` draws one ``v`` at the state ``ExtendedPoint(q, None,
+    memo)``.  ``log_density_terms(z)`` is the contribution of the auxiliary
+    law to the extended log-density at ``z = (q, v)``; both read work at
+    ``q`` through ``z.cached``, so a step shares it with the energy.  For
     finite-dimensional kernels the (unnormalized) conditional log-density of
     ``v`` given ``q``; for Hilbert-space kernels the log-density with respect
     to the Gaussian reference.  Constants independent of ``(q, v)`` may be
     dropped since only differences enter acceptance ratios.
     """
 
-    sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
-    log_density_terms: Callable[[np.ndarray, np.ndarray], float]
+    sample: Callable[[ExtendedPoint, np.random.Generator], np.ndarray]
+    log_density_terms: Callable[[ExtendedPoint], float]
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,7 @@ def _step(
         raise ConfigurationError(
             f"state has shape {q.shape}, kernel expects ({kernel.dim},)"
         )
-    v = kernel.aux.sample(q, rng)
+    v = kernel.aux.sample(ExtendedPoint(q, None, memo), rng)
     z = ExtendedPoint(q, np.asarray(v, dtype=float), memo)
     # Overflow inside a proposal map produces inf/nan and a rejection, not a
     # crash.
@@ -354,8 +356,8 @@ def classic_mh_kernel(
     return InvolutiveKernel(
         target=TargetPotential(eval=lambda q: -float(log_p(q))),
         aux=AuxiliaryKernel(
-            sample=proposal_sampler,
-            log_density_terms=lambda q, v: float(log_proposal_density(q, v)),
+            sample=lambda z, rng: proposal_sampler(z.q, rng),
+            log_density_terms=lambda z: float(log_proposal_density(z.q, z.v)),
         ),
         involution=Involution(swap),
         dim=dim,

@@ -165,31 +165,39 @@ class _SPD:
         return self._half_logdet
 
 
-def _momentum_law(mass: _SPD) -> AuxiliaryKernel:
+def _kinetic_law(draw: Callable, kinetic: Callable[[np.ndarray], float]) -> AuxiliaryKernel:
+    """The position-free law of density ``exp(-kinetic(v))``, up to a
+    constant, with draws ``draw(rng)``."""
     return AuxiliaryKernel(
-        sample=lambda q, rng: mass.sample(rng),
-        log_density_terms=lambda q, v: -mass.half_quad(v),
+        sample=lambda z, rng: draw(rng), log_density_terms=lambda z: -kinetic(z.v)
     )
 
 
 def gaussian_momentum(dim: int, mass: np.ndarray | None = None) -> AuxiliaryKernel:
     """Position-independent Gaussian momentum law N(0, M)."""
+    require_count(dim=dim)
     require_finite(mass=mass)
-    return _momentum_law(_SPD(mass, dim, ConfigurationError))
+    mass = _SPD(mass, dim, ConfigurationError)
+    return _kinetic_law(mass.sample, mass.half_quad)
 
 
 def _energy_involution(
-    hamiltonian: Callable[[ExtendedPoint], float],
+    target: TargetPotential,
+    aux: AuxiliaryKernel,
     integrator: Callable[[ExtendedPoint], ExtendedPoint],
     logdet: Callable[[ExtendedPoint], float] | None = None,
 ) -> Involution:
-    """Involution ``S = flip . integrator`` with energy-difference log-RN.
+    """Involution ``S = flip . integrator`` with the energy-difference log-RN
+    of ``H(z) = U(q) - aux.log_density_terms(z)``.
 
     ``logdet`` supplies ``log |det grad integrator|`` for schemes that are
-    not certified volume-preserving.  ``hamiltonian`` reads the potential
-    through the point's memo; the image always carries a memo, so a chain
-    that moves there reuses what was computed at it.
+    not certified volume-preserving.  ``H`` reads position-only work through
+    the point's memo; the image always carries a memo, so a chain that moves
+    there reuses what was computed at it.
     """
+
+    def hamiltonian(z: ExtendedPoint) -> float:
+        return z.cached(target.eval) - aux.log_density_terms(z)
 
     def flip_and_energy(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         end = integrator(z)
@@ -216,6 +224,7 @@ class JumpKinetic:
 
 def gaussian_jump(dim: int, scale=1.0) -> JumpKinetic:
     """Isotropic (or per-coordinate) Gaussian jump kinetic."""
+    require_count(dim=dim)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (dim,)).copy()
     require_finite(scale=scale)
     if np.any(scale <= 0):
@@ -242,15 +251,10 @@ def rwmc(
     require_count(dim=dim)
     if jump is None:
         jump = gaussian_jump(dim, scale)
-
-    def hamiltonian(z: ExtendedPoint) -> float:
-        return z.cached(target.eval) + jump.kinetic(z.v)
-
-    involution = _energy_involution(hamiltonian, lambda z: ExtendedPoint(z.q + z.v, z.v))
-    aux = AuxiliaryKernel(
-        sample=lambda q, rng: jump.sample(rng),
-        log_density_terms=lambda q, v: -jump.kinetic(v),
-    )
+    elif np.shape(jump.sample(np.random.default_rng(0))) != (dim,):  # not the chain's stream
+        raise ConfigurationError(f"the jump law does not draw ({dim},) jumps")
+    aux = _kinetic_law(jump.sample, jump.kinetic)
+    involution = _energy_involution(target, aux, lambda z: ExtendedPoint(z.q + z.v, z.v))
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name="rwmc")
 
 
@@ -308,8 +312,8 @@ def hmc(target: TargetPotential, cfg: HmcConfig, dim: int) -> InvolutiveKernel:
     N(0, M)."""
     mass = _SPD(cfg.mass, dim, ConfigurationError)
     return surrogate_hmc(
-        target, _momentum_law(mass), cfg, f1=mass.inv_apply, f2=_exact_force(target),
-        dim=dim, name="hmc",
+        target, _kinetic_law(mass.sample, mass.half_quad), cfg, f1=mass.inv_apply,
+        f2=_exact_force(target), dim=dim, name="hmc",
     )
 
 
@@ -383,15 +387,13 @@ def relativistic_hmc(
     require_finite(m=m, c=c)
     if m <= 0 or c <= 0:
         raise ConfigurationError("relativistic parameters m, c must be positive")
-    force = _exact_force(target)
-    sampler = _relativistic_momentum_sampler(dim, m, c)
-    aux = AuxiliaryKernel(
-        sample=lambda q, rng: sampler(rng),
-        log_density_terms=lambda q, v: -relativistic_kinetic(m, c, v),
+    require_count(dim=dim)
+    aux = _kinetic_law(
+        _relativistic_momentum_sampler(dim, m, c), lambda v: relativistic_kinetic(m, c, v)
     )
     return surrogate_hmc(
-        target, aux, cfg, f1=lambda v: relativistic_kinetic_grad(m, c, v), f2=force,
-        dim=dim, name="relativistic_hmc",
+        target, aux, cfg, f1=lambda v: relativistic_kinetic_grad(m, c, v),
+        f2=_exact_force(target), dim=dim, name="relativistic_hmc",
     )
 
 
@@ -499,7 +501,7 @@ def rmhmc(
     """
     grad = _require_grad(target)
     require_finite(delta=delta)
-    require_count(n=n)
+    require_count(n=n, dim=dim)
     if delta <= 0:
         raise ConfigurationError("rmhmc requires delta > 0")
 
@@ -582,20 +584,19 @@ def rmhmc(
         n, delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL, **hooks
     )
 
-    def hamiltonian(z: ExtendedPoint) -> float:
+    def sample(z: ExtendedPoint, rng: np.random.Generator) -> np.ndarray:
+        try:
+            ops = z.cached(metric_ops)
+        except DivergenceError as exc:  # not SPD at the state: the chain cannot step
+            raise ConfigurationError(str(exc)) from exc
+        return ops.sample(rng)
+
+    def log_density_terms(z: ExtendedPoint) -> float:
         ops = z.cached(metric_ops)
-        return z.cached(target.eval) + ops.half_quad(z.v) + ops.half_logdet()
+        return -ops.half_quad(z.v) - ops.half_logdet()
 
-    def sample(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        # Not SPD at the current state: the chain cannot step from here.
-        return _SPD(metric.matrix(q), dim, ConfigurationError).sample(rng)
-
-    def log_density_terms(q: np.ndarray, v: np.ndarray) -> float:
-        ops = metric_ops(q)
-        return -ops.half_quad(v) - ops.half_logdet()
-
-    involution = _energy_involution(hamiltonian, integrator)
     aux = AuxiliaryKernel(sample=sample, log_density_terms=log_density_terms)
+    involution = _energy_involution(target, aux, integrator)
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name="rmhmc")
 
 
@@ -632,12 +633,14 @@ def surrogate_hmc(
     construction.
 
     With ``volume_preserving=True`` the acceptance uses the energy
-    difference of ``H(q, v) = U(q) - aux.log_density_terms(q, v)``; the
+    difference of ``H(z) = U(q) - aux.log_density_terms(z)``; the
     surrogate fields may then disagree with ``grad H`` arbitrarily, the
     accept-reject step corrects the bias.  Otherwise the Jacobian factor is
     computed by finite differences, which requires ``dim`` and
     ``2 * dim <= jacobian_cap``.
     """
+    if dim is not None:
+        require_count(dim=dim)
     if fields is not None:
         if f1 is not None or f2 is not None:
             raise ConfigurationError("pass either fields or f1/f2, not both")
@@ -666,9 +669,6 @@ def surrogate_hmc(
     else:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
 
-    def hamiltonian(z: ExtendedPoint) -> float:
-        return z.cached(target.eval) - aux.log_density_terms(z.q, z.v)
-
     logdet = None
     if not volume_preserving:
         if dim is None:
@@ -679,5 +679,5 @@ def surrogate_hmc(
             )
         logdet = lambda z: numerical_logdet_jacobian(integrator, z, max_dim=jacobian_cap)
 
-    involution = _energy_involution(hamiltonian, integrator, logdet=logdet)
+    involution = _energy_involution(target, aux, integrator, logdet=logdet)
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name=name)

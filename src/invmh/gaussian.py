@@ -14,18 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, require_finite
+from .core import ConfigurationError, require_count, require_finite
 
 __all__ = ["SpectralGaussian", "power_law_eigenvalues"]
 
 
 def power_law_eigenvalues(d: int, c: float = 1.0, p: float = 2.0) -> np.ndarray:
-    """Eigenvalue sequence ``c * i**(-p)`` for ``i = 1..d``."""
+    """Eigenvalue sequence ``c * i**(-p)`` for ``i = 1..d``.  The decay
+    ``p`` must exceed 1: otherwise the eigenvalues are not summable as ``d``
+    grows and the covariance is not trace class."""
     require_finite(c=c, p=p)
-    if d < 1:
-        raise ConfigurationError("dimension must be positive")
+    require_count(d=d)
     if c <= 0:
         raise ConfigurationError("eigenvalue scale must be positive")
+    if p <= 1:
+        raise ConfigurationError(f"p must be > 1 for a trace-class covariance, got {p!r}")
     return c * np.arange(1, d + 1, dtype=float) ** (-p)
 
 

@@ -101,11 +101,11 @@ class AuxLaw:
     variances: Callable[[np.ndarray], np.ndarray] | None = None
 
     def sample(
-        self, reference: SpectralGaussian, q: np.ndarray, rng: np.random.Generator
+        self, reference: SpectralGaussian, z: ExtendedPoint, rng: np.random.Generator
     ) -> np.ndarray:
         if self.variances is None:
             return reference.sample(rng)
-        k = np.asarray(self.variances(q), dtype=float)
+        k = np.asarray(z.cached(self.variances), dtype=float)
         if np.any(k <= 0):
             raise ConfigurationError("auxiliary variances must be positive")
         return np.sqrt(k) * rng.standard_normal(reference.dim)
@@ -185,8 +185,8 @@ def _hilbert_kernel(
     return InvolutiveKernel(
         target=target.phi,
         aux=AuxiliaryKernel(
-            sample=lambda q, rng: aux.sample(ref, q, rng),
-            log_density_terms=lambda q, v: -aux.h_tilde(ref, ExtendedPoint(q, v)),
+            sample=lambda z, rng: aux.sample(ref, z, rng),
+            log_density_terms=lambda z: -aux.h_tilde(ref, z),
         ),
         involution=Involution(apply_and_log_rn),
         dim=target.dim,

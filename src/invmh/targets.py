@@ -30,8 +30,8 @@ def anisotropic_gaussian(variances) -> TargetPotential:
     """Centered Gaussian with the given per-coordinate variances."""
     var = np.asarray(variances, dtype=float)
     require_finite(variances=var)
-    if var.ndim != 1 or np.any(var <= 0):
-        raise ConfigurationError("variances must be a positive vector")
+    if var.ndim != 1 or var.size == 0 or np.any(var <= 0):
+        raise ConfigurationError("variances must be a nonempty positive vector")
     return TargetPotential(
         eval=lambda q: 0.5 * float((q**2 / var).sum()),
         grad=lambda q: np.asarray(q, dtype=float) / var,
@@ -40,10 +40,15 @@ def anisotropic_gaussian(variances) -> TargetPotential:
 
 def rosenbrock(dim: int = 2, a: float = 1.0, b: float = 10.0) -> TargetPotential:
     """Banana-shaped potential
-    ``sum_i b (q_{i+1} - q_i^2)^2 + (a - q_i)^2``."""
+    ``sum_i b (q_{i+1} - q_i^2)^2 + (a - q_i)^2``.  ``b`` must be positive:
+    with ``b < 0`` the potential is unbounded below and with ``b = 0`` the
+    last coordinate is flat, so the target is improper either way."""
     require_finite(a=a, b=b)
+    require_count(dim=dim)
     if dim < 2:
         raise ConfigurationError("rosenbrock requires dim >= 2")
+    if b <= 0:
+        raise ConfigurationError(f"b must be > 0 for a proper target, got {b!r}")
 
     def eval_(q: np.ndarray) -> float:
         head, tail = q[:-1], q[1:]

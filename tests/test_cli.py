@@ -253,6 +253,30 @@ class TestMain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    # Improper targets, each with the message that names its field.
+    IMPROPER_TARGETS = {
+        "rosenbrock.b=0": ({"name": "rosenbrock", "b": 0.0}, "target: b must be > 0"),
+        "rosenbrock.b<0": ({"name": "rosenbrock", "b": -1.0}, "target: b must be > 0"),
+        "power_law.p=1": (
+            {"name": "hilbert_quartic", "eigenvalues": {"power_law": {"d": 4, "p": 1.0}}},
+            "target.eigenvalues.power_law: p must be > 1",
+        ),
+        "power_law.p<1": (
+            {"name": "hilbert_quartic", "eigenvalues": {"power_law": {"d": 4, "p": 0.5}}},
+            "target.eigenvalues.power_law: p must be > 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(IMPROPER_TARGETS))
+    def test_improper_target_is_a_config_error(self, tmp_path, capsys, case):
+        config = rwmc_config(str(tmp_path / "out"), n_steps=20)
+        config["target"], message = self.IMPROPER_TARGETS[case]
+        if config["target"]["name"].startswith("hilbert"):
+            config["sampler"] = {"name": "pcn", "delta": 0.5}
+        assert main(["run", str(write_config(tmp_path, config))]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -48,8 +48,8 @@ class TestAcceptProb:
 def _always_accept_kernel(dim=1):
     target = TargetPotential(eval=lambda q: 0.0)
     aux = AuxiliaryKernel(
-        sample=lambda q, rng: rng.standard_normal(dim),
-        log_density_terms=lambda q, v: 0.0,
+        sample=lambda z, rng: rng.standard_normal(dim),
+        log_density_terms=lambda z: 0.0,
     )
     involution = Involution(lambda z: (ExtendedPoint(z.q + z.v, -z.v), 0.0))
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim)
@@ -75,8 +75,8 @@ class TestMhStep:
         # Zero density beyond the wall: the proposal into it must get alpha 0.
         target = TargetPotential(eval=lambda q: 0.0 if q[0] <= 0.5 else math.inf)
         aux = AuxiliaryKernel(
-            sample=lambda q, rng_: np.ones(1),
-            log_density_terms=lambda q, v: 0.0,
+            sample=lambda z, rng_: np.ones(1),
+            log_density_terms=lambda z: 0.0,
         )
         involution = Involution(
             lambda z: (
@@ -279,7 +279,7 @@ class _FixedAux:
 
     @staticmethod
     def make(v):
-        return AuxiliaryKernel(sample=lambda q, rng: np.array(v), log_density_terms=lambda q, w: 0.0)
+        return AuxiliaryKernel(sample=lambda z, rng: np.array(v), log_density_terms=lambda z: 0.0)
 
 
 class TestMixtureStep:

@@ -101,6 +101,12 @@ class TestRwmc:
         expected = -0.5 * 0.4**2 + (0.4**2 + 0.2) - (0.4**2 - 0.2)
         assert kernel.involution.log_rn(z) == pytest.approx(expected, abs=1e-12)
 
+    def test_jump_of_another_dimension_rejected_at_construction(self):
+        # It would otherwise crash the chain with a broadcast error at the
+        # first step.
+        with pytest.raises(ConfigurationError):
+            rwmc(standard_gaussian(2), 2, jump=gaussian_jump(3))
+
 
 class TestMala:
     def test_zero_gradient_reduces_to_rwmc(self, rng):
@@ -353,6 +359,21 @@ class TestRmhmc:
         assert result.alpha == 0.0
         assert result.next[0] == 0.4
 
+    def test_metric_not_spd_at_the_state_is_a_configuration_error(self, rng):
+        # M(q) = 1 - q^2 is negative at q0: no momentum can be drawn there,
+        # so the chain cannot step.  The draw reads the metric through the
+        # state's memo, where a non-SPD value is a DivergenceError (which
+        # rejects a step that meets it along a trajectory); at the current
+        # state it is a configuration error.
+        metric = PositionMetric(
+            matrix=lambda q: 1.0 - q**2,
+            grad_quad_form=lambda q, v: (v**2) * q / (1.0 - q**2) ** 2,
+            grad_half_logdet=lambda q: -q / (1.0 - q**2),
+        )
+        kernel = rmhmc(standard_gaussian(2), metric, delta=0.3, n=1, dim=2)
+        with pytest.raises(ConfigurationError):
+            mh_step(kernel, np.array([2.0, 0.0]), rng)
+
     def test_reverse_stall_still_rejects_with_the_bound(self):
         # c = 2 B (delta/2) max|v| is about 0.6 here: the reverse position
         # map contracts (c < 1), but its simplified Newton solve, whose rate
@@ -448,8 +469,8 @@ class TestWorkCounts:
     """Machine-independent guard on criterion 9's cost: evaluations per step
     of its five kernels.  A chain evaluates U once at its start and once per
     step (at the proposal), the gradient once per position a trajectory
-    visits, and RMHMC the metric once at the current state (for the
-    momentum draw)."""
+    visits, and RMHMC the metric once per new state (its momentum draw and
+    the energy there share it through the state's memo)."""
 
     N = 1000
 
@@ -511,10 +532,11 @@ class TestWorkCounts:
         assert solves["solves"] == 2 * n
         if dim == 2:
             assert solves["evaluations"] <= 4.5 * solves["solves"]
-        # The metric: the momentum draw, the Euler-B position, the energy at
-        # the proposal, the two guesses and the solver's evaluations, plus
-        # the energy at the start.
-        assert calls["matrix"] == 5 * n + solves["evaluations"] + 1
+        # The metric: the Euler-B position, the energy at the proposal, the
+        # two guesses and the solver's evaluations, plus the momentum draw at
+        # the start.  The draw and the energy at the current state read the
+        # metric from the state's memo.
+        assert calls["matrix"] == 4 * n + solves["evaluations"] + 1
         # Whatever the dimension: D = grad_quad_form(q, 1) and its check
         # along a probe direction at each new position, D at the two Newton
         # starts, and the last kick.
@@ -604,16 +626,15 @@ class TestWorkCounts:
         assert counts.calls["eval"] == self.N + 1
 
     def test_aux_variances(self):
-        # The log-RN reads variances(q) through the trajectory ends' memos:
-        # once per step at the proposal, once at the chain's start.  The
-        # draw at the current state sees no memo and adds one per step.
+        # The draw and the log-RN read variances(q) through the points'
+        # memos: once per step at the proposal, once at the chain's start.
         counts = _Counts()
         target = default_hilbert_target(16)
         lam = target.reference.eigenvalues
         variances = counts.wrap("variances", lambda q: lam * (1.0 + 0.4 * np.tanh(q) ** 2))
         kernel = inf_hmc(target, AuxLaw(variances=variances), delta1=0.1, n=3)
         run_chain(kernel, np.zeros(16), self.N, np.random.default_rng(9))
-        assert counts.calls["variances"] == 2 * self.N + 1
+        assert counts.calls["variances"] == self.N + 1
 
 
 class TestNonFiniteParameters:
@@ -726,11 +747,40 @@ class TestOutOfRangeParameters:
             lambda: _stormer_verlet_kernel(HmcConfig(delta=0.0, delta1=0.1, delta2=0.3)),
             lambda: _stormer_verlet_kernel(HmcConfig(delta=0.2, delta1=0.1)),
             lambda: _stormer_verlet_kernel(HmcConfig(delta=0.2, delta2=0.3)),
+            lambda: hmc(standard_gaussian(2), HmcConfig(delta=0.5), dim=0),
+            lambda: mala(standard_gaussian(2), delta=0.5, dim=0),
+            lambda: relativistic_hmc(standard_gaussian(2), 1.0, 1.0, HmcConfig(delta=0.5), dim=0),
+            lambda: rmhmc(standard_gaussian(2), diagonal_quadratic_metric(), 0.3, 1, dim=0),
+            lambda: gaussian_momentum(0),
+            lambda: gaussian_jump(0),
+            lambda: surrogate_hmc(
+                standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.5),
+                f1=lambda v: v, f2=lambda q: -q, dim=0,
+            ),
+            lambda: surrogate_hmc(
+                standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.5),
+                f1=lambda v: v, f2=lambda q: -q, dim=2.5,
+            ),
+            lambda: power_law_eigenvalues(2.5),
+            lambda: rosenbrock(dim=2.5),
+            lambda: anisotropic_gaussian([]),
+            # Improper targets: b <= 0 leaves rosenbrock unbounded below or
+            # flat in its last coordinate; p <= 1 gives eigenvalues that are
+            # not summable as the dimension grows (not trace class).
+            lambda: rosenbrock(dim=2, b=0.0),
+            lambda: rosenbrock(dim=2, b=-1.0),
+            lambda: power_law_eigenvalues(4, p=1.0),
+            lambda: power_law_eigenvalues(4, p=0.5),
         ],
         ids=[
             "rwmc.dim", "standard_gaussian.dim", "HmcConfig.delta", "HmcConfig.delta2",
             "inf_hmc.delta1=0", "inf_hmc.delta2=0", "stormer_verlet.delta=0",
             "stormer_verlet.delta1", "stormer_verlet.delta2",
+            "hmc.dim=0", "mala.dim=0", "relativistic_hmc.dim=0", "rmhmc.dim=0",
+            "gaussian_momentum.dim=0", "gaussian_jump.dim=0", "surrogate_hmc.dim=0",
+            "surrogate_hmc.dim=2.5", "power_law_eigenvalues.d=2.5", "rosenbrock.dim=2.5",
+            "anisotropic_gaussian.empty", "rosenbrock.b=0", "rosenbrock.b<0",
+            "power_law_eigenvalues.p=1", "power_law_eigenvalues.p<1",
         ],
     )
     def test_rejected_at_construction(self, build):
@@ -754,6 +804,44 @@ class TestOutOfRangeParameters:
             z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
             twice = kernel.involution.apply(kernel.involution.apply(z))
             assert point_norm(twice, z) <= 1e-12
+
+
+class TestAuxiliaryLaws:
+    """Every auxiliary law works at any dimension it accepts: at a state
+    ``ExtendedPoint(q, None, memo)`` it draws a finite ``(dim,)`` velocity,
+    and its log-density terms at the completed point are finite."""
+
+    @staticmethod
+    def _laws(dim: int) -> dict:
+        fd = standard_gaussian(dim)
+        diagonal = 1.0 + np.arange(dim) / dim
+        root = np.tri(dim) / dim + np.eye(dim)
+        hilbert = default_hilbert_target(dim)
+        lam = hilbert.reference.eigenvalues
+        cfg = HmcConfig(delta=0.3)
+        return {
+            "identity mass": gaussian_momentum(dim),
+            "diagonal mass": gaussian_momentum(dim, mass=diagonal),
+            "dense mass": gaussian_momentum(dim, mass=root @ root.T),
+            "gaussian jump": rwmc(fd, dim, jump=gaussian_jump(dim, scale=0.5)).aux,
+            "relativistic": relativistic_hmc(fd, 1.0, 2.0, cfg, dim).aux,
+            "rmhmc metric": rmhmc(fd, diagonal_quadratic_metric(), 0.3, 1, dim).aux,
+            "reference": inf_hmc(hilbert, AuxLaw(), delta1=0.1).aux,
+            "variances": inf_hmc(
+                hilbert, AuxLaw(variances=lambda q: lam * (1.0 + np.tanh(q) ** 2)), delta1=0.1
+            ).aux,
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_finite_draw_and_density_at_any_dimension(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal(dim)
+        for name, aux in self._laws(dim).items():
+            memo = {}
+            v = aux.sample(ExtendedPoint(q, None, memo), rng)
+            assert v.shape == (dim,) and np.isfinite(v).all(), name
+            assert math.isfinite(aux.log_density_terms(ExtendedPoint(q, v, memo))), name
 
 
 class TestSurrogateHmc:
