@@ -15,7 +15,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .finite_dim import (
     surrogate_hmc,
 )
 from .gaussian import SpectralGaussian, power_law_eigenvalues
-from .hilbert import AuxLaw, HilbertTarget, gen_langevin, inf_hmc, inf_mala, pcn
+from .hilbert import AuxLaw, gen_langevin, inf_hmc, inf_mala, pcn
 from . import targets as target_lib
 
 __all__ = ["ConfigError", "load_config", "run", "list_builtins", "main"]
@@ -50,8 +54,28 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
+def _build(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the library's rejection of a value
+    reported as a config error at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigurationError, ValueError, TypeError) as exc:
+        _fail(path, str(exc))
+
+
 def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# What each kind of field is called in messages.  A float field takes any
+# finite number; the others take an instance of their kind (no bools).
+_FIELD_KINDS = {
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
 
 
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
@@ -61,26 +85,96 @@ def _get(section: dict, path: str, key: str, kind, required=True, default=None):
         return default
     value = section[key]
     if kind is float:
-        if not _is_finite_number(value):
-            _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-        return int(value)
-    if kind is str:
-        if not isinstance(value, str):
-            _fail(f"{path}.{key}", f"expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            _fail(f"{path}.{key}", f"expected a list, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            _fail(f"{path}.{key}", f"expected an object, got {value!r}")
-        return value
-    raise AssertionError(f"unknown kind {kind}")
+        valid = _is_finite_number(value)
+    else:
+        valid = isinstance(value, kind) and not isinstance(value, bool)
+    if not valid:
+        _fail(f"{path}.{key}", f"expected {_FIELD_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+# ---------------------------------------------------------------------------
+# Sampler parameters and builders
+
+
+def _delta(spec: dict) -> float:
+    return _get(spec, "sampler", "delta", float)
+
+
+def _steps(spec: dict) -> int:
+    return _get(spec, "sampler", "n", int, required=False, default=1)
+
+
+def _hmc_config(spec: dict, with_mass: bool = False) -> Callable[[], HmcConfig]:
+    """Reads ``delta``, ``n`` and, ``with_mass``, the mass, in that order.
+    Returns the HmcConfig's constructor, so that a builder chooses whether
+    the config's own checks come before or after its other fields."""
+    delta, n = _delta(spec), _steps(spec)
+    mass = np.asarray(spec["mass"], dtype=float) if with_mass and "mass" in spec else None
+    return partial(HmcConfig, delta=delta, n=n, mass=mass)
+
+
+def _rwmc(spec: dict, target, dim: int) -> InvolutiveKernel:
+    return rwmc(target, dim=dim, scale=np.asarray(spec.get("scale", 1.0), dtype=float))
+
+
+def _mala(spec: dict, target, dim: int) -> InvolutiveKernel:
+    return mala(target, _delta(spec), dim)
+
+
+def _hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
+    return hmc(target, _hmc_config(spec, with_mass=True)(), dim)
+
+
+def _relativistic_hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
+    cfg = _hmc_config(spec)()
+    m = _get(spec, "sampler", "m", float, required=False, default=1.0)
+    c = _get(spec, "sampler", "c", float, required=False, default=1.0)
+    return relativistic_hmc(target, m, c, cfg, dim)
+
+
+def _rmhmc(spec: dict, target, dim: int) -> InvolutiveKernel:
+    return rmhmc(target, diagonal_quadratic_metric(), _delta(spec), _steps(spec), dim)
+
+
+def _surrogate_hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
+    make_cfg = _hmc_config(spec)
+    scale = _get(spec, "sampler", "surrogate_scale", float, required=False, default=1.0)
+    if target.grad is None:
+        _fail("sampler.name", "surrogate_hmc requires a target with a gradient")
+    grad = target.grad
+    return surrogate_hmc(
+        target,
+        gaussian_momentum(dim),
+        make_cfg(),
+        f1=lambda v: v,
+        f2=lambda q: -scale * np.asarray(grad(q), dtype=float),
+        dim=dim,
+    )
+
+
+def _pcn(spec: dict, target, dim: int) -> InvolutiveKernel:
+    rho = _get(spec, "sampler", "rho", float, required=False)
+    return pcn(target, rho=rho, delta=_get(spec, "sampler", "delta", float, required=False))
+
+
+def _inf_mala(spec: dict, target, dim: int) -> InvolutiveKernel:
+    return inf_mala(target, _delta(spec))
+
+
+def _inf_hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
+    delta1 = _get(spec, "sampler", "delta1", float)
+    delta2 = _get(spec, "sampler", "delta2", float, required=False)
+    return inf_hmc(target, AuxLaw(), delta1, delta2, _steps(spec))
+
+
+def _gen_langevin(spec: dict, target, dim: int) -> InvolutiveKernel:
+    delta = _delta(spec)
+    mode = _get(spec, "sampler", "surrogate", str, required=False, default="grad")
+    if mode not in ("grad", "zero"):
+        _fail("sampler.surrogate", "expected 'grad' or 'zero'")
+    force = target.force() if mode == "grad" else np.zeros_like
+    return gen_langevin(replace(target, surrogate_f=force), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +190,41 @@ TARGETS = {
     "params: eigenvalues (as above), coefficients (number or list)",
 }
 
-SAMPLERS = {
-    "rwmc": "random walk Metropolis; params: scale (number or list, default 1.0)",
-    "mala": "Metropolis-adjusted Langevin; params: delta",
-    "hmc": "Hamiltonian Monte Carlo; params: delta, n (default 1), mass (diagonal list, optional)",
-    "relativistic_hmc": "HMC with relativistic kinetic energy; params: delta, n (default 1), m (default 1.0), c (default 1.0)",
-    "rmhmc": "Riemannian-manifold HMC with the builtin metric diag(1 + q^2); params: delta, n (default 1)",
-    "surrogate_hmc": "HMC driven by a scaled surrogate force; params: delta, n (default 1), surrogate_scale (default 1.0)",
-    "pcn": "preconditioned Crank-Nicolson; params: rho or delta (exactly one)",
-    "inf_mala": "preconditioned MALA over the Gaussian reference; params: delta",
-    "inf_hmc": "preconditioned HMC over the Gaussian reference; params: delta1, delta2 (default 2*delta1), n (default 1)",
-    "gen_langevin": "generalized Langevin kernel; params: delta, surrogate ('grad' or 'zero', default 'grad')",
-}
+# The target kinds, as build_target returns them, and their names in messages.
+TARGET_KINDS = {"fd": "a finite-dimensional", "hilbert": "a Hilbert-space"}
 
-FD_SAMPLERS = {"rwmc", "mala", "hmc", "relativistic_hmc", "rmhmc", "surrogate_hmc"}
-HILBERT_SAMPLERS = {"pcn", "inf_mala", "inf_hmc", "gen_langevin"}
+
+class Sampler(NamedTuple):
+    """A builtin sampler: the kind of target it takes, ``build(spec, target,
+    dim)``, which reads the sampler section and calls the library's
+    constructor, and its ``invmh list`` text."""
+
+    kind: str
+    build: Callable[[dict, object, int], InvolutiveKernel]
+    doc: str
+
+
+# Each sampler's target kind, builder and `invmh list` text; adding a sampler
+# to the CLI is one entry here.
+SAMPLERS = {
+    "rwmc": Sampler("fd", _rwmc, "random walk Metropolis; params: scale (number or list, default 1.0)"),
+    "mala": Sampler("fd", _mala, "Metropolis-adjusted Langevin; params: delta"),
+    "hmc": Sampler("fd", _hmc, "Hamiltonian Monte Carlo; "
+                   "params: delta, n (default 1), mass (diagonal list, optional)"),
+    "relativistic_hmc": Sampler("fd", _relativistic_hmc, "HMC with relativistic kinetic energy; "
+                                "params: delta, n (default 1), m (default 1.0), c (default 1.0)"),
+    "rmhmc": Sampler("fd", _rmhmc, "Riemannian-manifold HMC with the builtin metric diag(1 + q^2); "
+                     "params: delta, n (default 1)"),
+    "surrogate_hmc": Sampler("fd", _surrogate_hmc, "HMC driven by a scaled surrogate force; "
+                             "params: delta, n (default 1), surrogate_scale (default 1.0)"),
+    "pcn": Sampler("hilbert", _pcn, "preconditioned Crank-Nicolson; params: rho or delta (exactly one)"),
+    "inf_mala": Sampler("hilbert", _inf_mala, "preconditioned MALA over the Gaussian reference; "
+                        "params: delta"),
+    "inf_hmc": Sampler("hilbert", _inf_hmc, "preconditioned HMC over the Gaussian reference; "
+                       "params: delta1, delta2 (default 2*delta1), n (default 1)"),
+    "gen_langevin": Sampler("hilbert", _gen_langevin, "generalized Langevin kernel; "
+                            "params: delta, surrogate ('grad' or 'zero', default 'grad')"),
+}
 
 EXAMPLE_CONFIGS = {
     "mala_gaussian": {
@@ -142,8 +256,8 @@ def list_builtins() -> str:
     for name, doc in TARGETS.items():
         lines.append(f"  {name}: {doc}")
     lines.append("Samplers:")
-    for name, doc in SAMPLERS.items():
-        lines.append(f"  {name}: {doc}")
+    for name, sampler in SAMPLERS.items():
+        lines.append(f"  {name}: {sampler.doc}")
     lines.append("Example config names (see README): " + ", ".join(EXAMPLE_CONFIGS))
     return "\n".join(lines)
 
@@ -169,26 +283,22 @@ def load_config(path: str | Path) -> dict:
 def _reference(section: dict, path: str) -> SpectralGaussian:
     """The Gaussian reference of a Hilbert target; errors name the field."""
     spec = _get(section, path, "eigenvalues", dict)
-    field = f"{path}.eigenvalues"
-    try:
-        if "values" in spec:
-            field += ".values"
-            values = spec["values"]
-            if not isinstance(values, list) or not values:
-                _fail(field, "expected a nonempty list")
-            return SpectralGaussian(np.asarray(values, dtype=float))
-        if "power_law" in spec:
-            field += ".power_law"
-            pl = spec["power_law"]
-            if not isinstance(pl, dict):
-                _fail(field, "expected an object")
-            d = _get(pl, field, "d", int)
-            c = _get(pl, field, "c", float, required=False, default=1.0)
-            p = _get(pl, field, "p", float, required=False, default=2.0)
-            return SpectralGaussian(power_law_eigenvalues(d, c=c, p=p))
-    except (ConfigurationError, ValueError, TypeError) as exc:
-        _fail(field, str(exc))
-    _fail(field, "expected 'values' or 'power_law'")
+    path += ".eigenvalues"
+    if "values" in spec:
+        values = spec["values"]
+        if not isinstance(values, list) or not values:
+            _fail(f"{path}.values", "expected a nonempty list")
+        return _build(f"{path}.values", SpectralGaussian, values)
+    if "power_law" in spec:
+        path += ".power_law"
+        pl = spec["power_law"]
+        if not isinstance(pl, dict):
+            _fail(path, "expected an object")
+        d = _get(pl, path, "d", int)
+        c = _get(pl, path, "c", float, required=False, default=1.0)
+        p = _get(pl, path, "p", float, required=False, default=2.0)
+        return _build(path, lambda: SpectralGaussian(power_law_eigenvalues(d, c=c, p=p)))
+    _fail(path, "expected 'values' or 'power_law'")
 
 
 def build_target(spec: dict):
@@ -201,29 +311,20 @@ def build_target(spec: dict):
         return "fd", target_lib.standard_gaussian(dim), dim
     if name == "anisotropic_gaussian":
         variances = _get(spec, "target", "variances", list)
-        try:
-            target = target_lib.anisotropic_gaussian(variances)
-        except (ConfigurationError, ValueError, TypeError) as exc:
-            _fail("target.variances", str(exc))
+        target = _build("target.variances", target_lib.anisotropic_gaussian, variances)
         return "fd", target, len(variances)
     if name == "rosenbrock":
         dim = _get(spec, "target", "dim", int, required=False, default=2)
         a = _get(spec, "target", "a", float, required=False, default=1.0)
         b = _get(spec, "target", "b", float, required=False, default=10.0)
-        try:
-            target = target_lib.rosenbrock(dim=dim, a=a, b=b)
-        except (ConfigurationError, ValueError, TypeError) as exc:
-            _fail("target", str(exc))
-        return "fd", target, dim
+        return "fd", _build("target", target_lib.rosenbrock, dim=dim, a=a, b=b), dim
     if name == "hilbert_quartic":
         target = target_lib.hilbert_quartic(_reference(spec, "target"))
         return "hilbert", target, target.dim
     if name == "hilbert_linear":
         reference = _reference(spec, "target")
-        try:
-            target = target_lib.hilbert_linear(reference, spec.get("coefficients", 1.0))
-        except (ConfigurationError, ValueError, TypeError) as exc:
-            _fail("target.coefficients", str(exc))
+        coefficients = spec.get("coefficients", 1.0)
+        target = _build("target.coefficients", target_lib.hilbert_linear, reference, coefficients)
         return "hilbert", target, target.dim
     _fail("target.name", f"unknown target {name!r}; see `invmh list`")
 
@@ -232,84 +333,10 @@ def build_kernel(spec: dict, kind: str, target, dim: int) -> InvolutiveKernel:
     name = _get(spec, "sampler", "name", str)
     if name not in SAMPLERS:
         _fail("sampler.name", f"unknown sampler {name!r}; see `invmh list`")
-    if name in FD_SAMPLERS and kind != "fd":
-        _fail("sampler.name", f"{name} requires a finite-dimensional target")
-    if name in HILBERT_SAMPLERS and kind != "hilbert":
-        _fail("sampler.name", f"{name} requires a Hilbert-space target")
-    try:
-        if name == "rwmc":
-            scale = spec.get("scale", 1.0)
-            return rwmc(target, dim=dim, scale=np.asarray(scale, dtype=float))
-        if name == "mala":
-            return mala(target, _get(spec, "sampler", "delta", float), dim)
-        if name == "hmc":
-            cfg = HmcConfig(
-                delta=_get(spec, "sampler", "delta", float),
-                n=_get(spec, "sampler", "n", int, required=False, default=1),
-                mass=(
-                    np.asarray(spec["mass"], dtype=float) if "mass" in spec else None
-                ),
-            )
-            return hmc(target, cfg, dim)
-        if name == "relativistic_hmc":
-            cfg = HmcConfig(
-                delta=_get(spec, "sampler", "delta", float),
-                n=_get(spec, "sampler", "n", int, required=False, default=1),
-            )
-            m = _get(spec, "sampler", "m", float, required=False, default=1.0)
-            c = _get(spec, "sampler", "c", float, required=False, default=1.0)
-            return relativistic_hmc(target, m, c, cfg, dim)
-        if name == "rmhmc":
-            delta = _get(spec, "sampler", "delta", float)
-            n = _get(spec, "sampler", "n", int, required=False, default=1)
-            return rmhmc(target, diagonal_quadratic_metric(), delta, n, dim)
-        if name == "surrogate_hmc":
-            delta = _get(spec, "sampler", "delta", float)
-            n = _get(spec, "sampler", "n", int, required=False, default=1)
-            scale = _get(spec, "sampler", "surrogate_scale", float, required=False, default=1.0)
-            if target.grad is None:
-                _fail("sampler.name", "surrogate_hmc requires a target with a gradient")
-            grad = target.grad
-            return surrogate_hmc(
-                target,
-                gaussian_momentum(dim),
-                HmcConfig(delta=delta, n=n),
-                f1=lambda v: v,
-                f2=lambda q: -scale * np.asarray(grad(q), dtype=float),
-                dim=dim,
-            )
-        if name == "pcn":
-            rho = _get(spec, "sampler", "rho", float, required=False, default=None)
-            delta = _get(spec, "sampler", "delta", float, required=False, default=None)
-            return pcn(target, rho=rho, delta=delta)
-        if name == "inf_mala":
-            return inf_mala(target, _get(spec, "sampler", "delta", float))
-        if name == "inf_hmc":
-            delta1 = _get(spec, "sampler", "delta1", float)
-            delta2 = _get(spec, "sampler", "delta2", float, required=False, default=None)
-            n = _get(spec, "sampler", "n", int, required=False, default=1)
-            return inf_hmc(target, AuxLaw(), delta1, delta2, n)
-        if name == "gen_langevin":
-            delta = _get(spec, "sampler", "delta", float)
-            mode = _get(spec, "sampler", "surrogate", str, required=False, default="grad")
-            if mode == "zero":
-                hilbert_target = HilbertTarget(
-                    phi=target.phi,
-                    reference=target.reference,
-                    surrogate_f=lambda q: np.zeros_like(q),
-                )
-            elif mode == "grad":
-                hilbert_target = HilbertTarget(
-                    phi=target.phi,
-                    reference=target.reference,
-                    surrogate_f=target.force(),
-                )
-            else:
-                _fail("sampler.surrogate", "expected 'grad' or 'zero'")
-            return gen_langevin(hilbert_target, delta)
-    except (ConfigurationError, ValueError, TypeError) as exc:
-        _fail("sampler", str(exc))
-    raise AssertionError("unreachable")
+    sampler = SAMPLERS[name]
+    if sampler.kind != kind:
+        _fail("sampler.name", f"{name} requires {TARGET_KINDS[sampler.kind]} target")
+    return _build("sampler", sampler.build, spec, target, dim)
 
 
 def _validate_run_section(config: dict) -> dict:
@@ -359,13 +386,12 @@ def _chain_rngs(seed: int, chain_index: int):
 
 
 def _chain_task(config_text: str, chain_index: int, out_dir: str) -> dict:
-    """Run one chain (worker-safe: rebuilds everything from the config)."""
+    """Run one chain of the resolved config (worker-safe: rebuilds
+    everything from it)."""
     config = json.loads(config_text)
     kind, target, dim = build_target(config["target"])
     kernel = build_kernel(config["sampler"], kind, target, dim)
     run_spec = config["run"]
-    out_spec = config.get("output", {})
-    thinning = out_spec.get("thinning", 1)
     q0 = np.asarray(run_spec.get("q0", np.zeros(dim)), dtype=float)
     sampling_rng, diag_rng = _chain_rngs(run_spec["seed"], chain_index)
     result = run_chain(kernel, q0, run_spec["n_steps"], sampling_rng)
@@ -374,13 +400,10 @@ def _chain_task(config_text: str, chain_index: int, out_dir: str) -> dict:
         result.positions,
         result.alphas,
         result.accepted,
-        thinning,
+        config["output"]["thinning"],
     )
     summary = summarize_chain(
-        result.positions,
-        result.accepted,
-        diag_rng,
-        burn_in=run_spec.get("burn_in", 0),
+        result.positions, result.accepted, diag_rng, burn_in=run_spec["burn_in"]
     )
     return {"chain": chain_index, **summary.to_dict()}
 
@@ -436,18 +459,12 @@ def run(
     out_path.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(resolved, sort_keys=True)
 
-    chain_indices = list(range(resolved["run"]["n_chains"]))
-    summaries = []
+    task = partial(_chain_task, config_text, out_dir=str(out_path))
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_chain_task, config_text, c, str(out_path))
-                    for c in chain_indices
-                ]
-                summaries = [f.result() for f in futures]
-        else:
-            summaries = [_chain_task(config_text, c, str(out_path)) for c in chain_indices]
+        # Chains in index order, serially or in worker processes.
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            chain_map = pool.map if pool else map
+            summaries = list(chain_map(task, range(resolved["run"]["n_chains"])))
     except Exception as exc:  # noqa: BLE001 - converted to exit code + report
         report = {"error": str(exc), "type": type(exc).__name__, "config": resolved}
         (out_path / "error.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

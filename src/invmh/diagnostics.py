@@ -5,7 +5,7 @@ batch-means moment checks against analytic targets."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -212,17 +212,7 @@ class ChainSummary:
     degenerate: dict[str, bool] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "acceptance_rate": self.acceptance_rate,
-            "ess": self.ess,
-            "means": self.means,
-            "mean_se": self.mean_se,
-            "variances": self.variances,
-            "variance_se": self.variance_se,
-            "db_pvalue": self.db_pvalue,
-            "n_steps": self.n_steps,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def default_observables(positions: np.ndarray) -> dict[str, np.ndarray]:

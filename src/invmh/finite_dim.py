@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+# The most coordinates (2 * dim) for which surrogate_hmc's general path
+# computes the Jacobian by finite differences.
+JACOBIAN_CAP = 10
+
+
 class SamplerError(RuntimeError):
     """An auxiliary sampler failed (e.g. rejection cap exhausted)."""
 
@@ -76,7 +81,8 @@ class HmcConfig:
     flip still makes it an involution.  A zero drift step is rejected (the
     chain could never move), a zero kick step is not (a random walk).
     ``mass`` is a diagonal (1-d) or dense SPD (2-d) mass matrix, identity
-    when omitted.
+    when omitted; only :func:`hmc` reads it (the other constructors take
+    their momentum law separately and reject a mass).
     """
 
     delta: float
@@ -312,8 +318,8 @@ def hmc(target: TargetPotential, cfg: HmcConfig, dim: int) -> InvolutiveKernel:
     N(0, M)."""
     mass = _SPD(cfg.mass, dim, ConfigurationError)
     return surrogate_hmc(
-        target, _kinetic_law(mass.sample, mass.half_quad), cfg, f1=mass.inv_apply,
-        f2=_exact_force(target), dim=dim, name="hmc",
+        target, _kinetic_law(mass.sample, mass.half_quad), replace(cfg, mass=None),
+        f1=mass.inv_apply, f2=_exact_force(target), dim=dim, name="hmc",
     )
 
 
@@ -615,7 +621,6 @@ def surrogate_hmc(
     stages=None,
     volume_preserving: bool = True,
     dim: int | None = None,
-    jacobian_cap: int = 10,
     name: str = "surrogate_hmc",
 ) -> InvolutiveKernel:
     """HMC-style kernel with arbitrary surrogate force fields.
@@ -625,8 +630,10 @@ def surrogate_hmc(
     which may read position-only work through ``z.cached``, shared per
     position; a step its reverse step would not undo is rejected) or
     ``"palindrome"`` (explicit ``stages`` of (flow, t), repeated ``cfg.n``
-    times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and rejects
-    a config that sets ``delta1`` or ``delta2``.  Forces may be passed as
+    times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and the
+    palindrome with its stages' times; both reject a config that sets
+    ``delta1`` or ``delta2``.  The momentum law is ``aux``, so a config that
+    sets ``mass`` is rejected too.  Forces may be passed as
     bare callables, in which case the caller vouches for the parity of
     ``f1`` (odd for momentum-flip reversibility), or as a
     :class:`SurrogateField` whose declared parity is spot-checked at
@@ -637,10 +644,14 @@ def surrogate_hmc(
     surrogate fields may then disagree with ``grad H`` arbitrarily, the
     accept-reject step corrects the bias.  Otherwise the Jacobian factor is
     computed by finite differences, which requires ``dim`` and
-    ``2 * dim <= jacobian_cap``.
+    ``2 * dim <= JACOBIAN_CAP``.
     """
     if dim is not None:
         require_count(dim=dim)
+    if cfg.mass is not None:
+        raise ConfigurationError(
+            "HmcConfig.mass does not apply here: the momentum law is given separately"
+        )
     if fields is not None:
         if f1 is not None or f2 is not None:
             raise ConfigurationError("pass either fields or f1/f2, not both")
@@ -652,13 +663,12 @@ def surrogate_hmc(
     d1, d2 = cfg.steps()
     if scheme in ("leapfrog", "stormer_verlet") and (f1 is None or f2 is None):
         raise ConfigurationError(f"{scheme} scheme requires f1 and f2")
+    sets_steps = cfg.delta1 is not None or cfg.delta2 is not None
+    if sets_steps and scheme in ("stormer_verlet", "palindrome"):
+        raise ConfigurationError(f"the {scheme} scheme does not read delta1 or delta2")
     if scheme == "leapfrog":
         integrator = lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
     elif scheme == "stormer_verlet":
-        if cfg.delta1 is not None or cfg.delta2 is not None:
-            raise ConfigurationError(
-                "the stormer_verlet scheme steps with delta; delta1 and delta2 do not apply"
-            )
         integrator = lambda z: integrators.stormer_verlet(
             cfg.n, cfg.delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL
         )
@@ -673,11 +683,11 @@ def surrogate_hmc(
     if not volume_preserving:
         if dim is None:
             raise ConfigurationError("the numerical-Jacobian path requires dim")
-        if 2 * dim > jacobian_cap:
+        if 2 * dim > JACOBIAN_CAP:
             raise ConfigurationError(
-                f"dimension {dim} exceeds the Jacobian cap ({jacobian_cap} total coordinates)"
+                f"dimension {dim} exceeds the Jacobian cap ({JACOBIAN_CAP} total coordinates)"
             )
-        logdet = lambda z: numerical_logdet_jacobian(integrator, z, max_dim=jacobian_cap)
+        logdet = lambda z: numerical_logdet_jacobian(integrator, z, max_dim=JACOBIAN_CAP)
 
     involution = _energy_involution(target, aux, integrator, logdet=logdet)
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name=name)

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ExtendedPoint, ConfigurationError, IntegrationError
+from .core import ExtendedPoint, ConfigurationError, IntegrationError, require_count
 
 __all__ = [
     "DivergenceError",
@@ -153,8 +153,10 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
     ``f1(v)``).  Raises :class:`DivergenceError` on non-finite states; the
     force is evaluated once per position, and the endpoint's memo holds it."""
-    if n < 1:
-        raise ConfigurationError("leapfrog requires n >= 1")
+    # require_count's rule inline (a call of it costs ten times this check
+    # on a plain int); bools fail it, as there.
+    if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+        raise ConfigurationError(f"leapfrog requires an integer n >= 1, got {n!r}")
     drift_flow = lambda q, v: (q + delta2 * np.asarray(f1(v), dtype=float), v)
     return _kick_flow_kick(n, delta1, drift_flow, f2, z)
 
@@ -169,8 +171,10 @@ def strang_hilbert(
     Returns ``(z_n, [z_0, ..., z_n])``, the endpoint and the whole-step
     trajectory, whose points after ``z_0`` carry their forces in their
     memos; the closed-form log-RN consumes every point."""
-    if n < 1:
-        raise ConfigurationError("strang_hilbert requires n >= 1")
+    # require_count's rule inline (a call of it costs ten times this check
+    # on a plain int); bools fail it, as there.
+    if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+        raise ConfigurationError(f"strang_hilbert requires an integer n >= 1, got {n!r}")
     c, s = math.cos(delta2), math.sin(delta2)
     rotation_flow = lambda q, v: (c * q + s * v, -s * q + c * v)
     trajectory = [z]
@@ -333,8 +337,10 @@ def stormer_verlet(
     :func:`~invmh.finite_dim.diagonal_quadratic_metric` at delta = 1 and
     d = 1..3, 108 of 3946 returned steps had a reverse step that raised
     :class:`FixedPointError`)."""
-    if n < 1:
-        raise ConfigurationError("stormer_verlet requires n >= 1")
+    # require_count's rule inline (a call of it costs ten times this check
+    # on a plain int); bools fail it, as there.
+    if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+        raise ConfigurationError(f"stormer_verlet requires an integer n >= 1, got {n!r}")
     half = delta / 2.0
     for _ in range(n):
         mid = euler_b_step(half, f1, f2, z, velocity_root)
@@ -366,8 +372,7 @@ def palindromic_compose(
     """
     if len(stages) == 0:
         raise ConfigurationError("palindromic_compose requires at least one stage")
-    if n < 1:
-        raise ConfigurationError("palindromic_compose requires n >= 1")
+    require_count(n=n)
     ordered = list(stages) + list(reversed(stages))
 
     def composed(z: ExtendedPoint) -> ExtendedPoint:

@@ -6,6 +6,7 @@ import pytest
 
 from invmh.cli import (
     EXAMPLE_CONFIGS,
+    SAMPLERS,
     ConfigError,
     build_kernel,
     build_target,
@@ -14,6 +15,7 @@ from invmh.cli import (
     main,
     run,
 )
+from invmh.core import TargetPotential
 
 
 def write_config(tmp_path: Path, config: dict, name="config.json") -> Path:
@@ -28,6 +30,26 @@ def rwmc_config(outdir: str, n_steps=400, seed=5) -> dict:
         "sampler": {"name": "rwmc", "scale": 0.8},
         "run": {"n_steps": n_steps, "burn_in": 0, "n_chains": 1, "seed": seed},
         "output": {"directory": outdir, "thinning": 1},
+    }
+
+
+FD2 = {"name": "standard_gaussian", "dim": 2}
+ANISO = {"name": "anisotropic_gaussian", "variances": [1.0, 0.25]}
+ROSENBROCK = {"name": "rosenbrock", "dim": 2, "a": 1.0, "b": 5.0}
+QUARTIC = {"name": "hilbert_quartic", "eigenvalues": {"power_law": {"d": 6}}}
+LINEAR = {
+    "name": "hilbert_linear",
+    "eigenvalues": {"values": [1.0, 0.5, 0.25]},
+    "coefficients": [0.5, -0.2, 0.1],
+}
+
+
+def experiment(outdir: Path, target: dict, sampler: dict, n_steps=200) -> dict:
+    return {
+        "target": target,
+        "sampler": sampler,
+        "run": {"n_steps": n_steps, "burn_in": 20, "n_chains": 1, "seed": 17},
+        "output": {"directory": str(outdir), "thinning": 2},
     }
 
 
@@ -300,3 +322,168 @@ class TestMain:
         path = write_config(tmp_path, config)
         assert main(["run", str(path)]) == 0
         assert (env_dir / "summary.json").exists()
+
+
+class TestEverySampler:
+    # One run per sampler in the table and per optional form it takes.
+    RUNS = {
+        "rwmc": (FD2, {"name": "rwmc", "scale": [0.5, 1.2]}),
+        "mala": (ANISO, {"name": "mala", "delta": 0.8}),
+        "hmc": (FD2, {"name": "hmc", "delta": 0.3, "n": 3}),
+        "hmc.mass": (FD2, {"name": "hmc", "delta": 0.3, "n": 2, "mass": [2.0, 0.5]}),
+        "relativistic_hmc": (
+            FD2, {"name": "relativistic_hmc", "delta": 0.3, "n": 2, "m": 1.0, "c": 2.0}
+        ),
+        "rmhmc": (ROSENBROCK, {"name": "rmhmc", "delta": 0.2, "n": 3}),
+        "surrogate_hmc": (
+            ANISO, {"name": "surrogate_hmc", "delta": 0.3, "n": 2, "surrogate_scale": 0.9}
+        ),
+        "pcn": (QUARTIC, {"name": "pcn", "rho": 0.9}),
+        "inf_mala": (QUARTIC, {"name": "inf_mala", "delta": 0.5}),
+        "inf_hmc": (LINEAR, {"name": "inf_hmc", "delta1": 0.3, "delta2": 0.5, "n": 3}),
+        "gen_langevin.grad": (QUARTIC, {"name": "gen_langevin", "delta": 0.5}),
+        "gen_langevin.zero": (
+            LINEAR, {"name": "gen_langevin", "delta": 0.5, "surrogate": "zero"}
+        ),
+    }
+
+    def test_runs_cover_the_table(self):
+        assert {sampler["name"] for _, sampler in self.RUNS.values()} == set(SAMPLERS)
+
+    @pytest.mark.parametrize("case", list(RUNS))
+    def test_runs_through_invmh_run(self, tmp_path, case):
+        outdir = tmp_path / "out"
+        config = experiment(outdir, *self.RUNS[case])
+        assert main(["run", str(write_config(tmp_path, config))]) == 0
+        lines = (outdir / "chain_000.csv").read_text().splitlines()
+        assert len(lines) == 1 + 101  # header + steps 0, 2, ..., 200
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["config"]["sampler"] == config["sampler"]
+        assert 0.0 < summary["chains"][0]["acceptance_rate"] <= 1.0
+
+
+class TestConfigErrors:
+    # Invalid configs, each with the whole line it prints.  Several hold two
+    # errors, of which the one read first is reported.
+    MALA = {"name": "mala", "delta": 0.5}
+    PCN = {"name": "pcn", "delta": 0.5}
+    CASES = {
+        "unknown sampler": (
+            FD2, {"name": "nuts"}, "sampler.name: unknown sampler 'nuts'; see `invmh list`"
+        ),
+        "fd sampler, hilbert target": (
+            QUARTIC, MALA, "sampler.name: mala requires a finite-dimensional target"
+        ),
+        "hilbert sampler, fd target": (
+            FD2, PCN, "sampler.name: pcn requires a Hilbert-space target"
+        ),
+        "kind before parameters": (
+            FD2, {"name": "inf_hmc"}, "sampler.name: inf_hmc requires a Hilbert-space target"
+        ),
+        "sampler.surrogate": (
+            QUARTIC,
+            {"name": "gen_langevin", "delta": 0.5, "surrogate": "other"},
+            "sampler.surrogate: expected 'grad' or 'zero'",
+        ),
+        "delta before surrogate": (
+            QUARTIC,
+            {"name": "gen_langevin", "surrogate": "other"},
+            "sampler.delta: missing required field",
+        ),
+        "delta before mass": (
+            FD2, {"name": "hmc", "mass": "abc"}, "sampler.delta: missing required field"
+        ),
+        "n before mass": (
+            FD2,
+            {"name": "hmc", "delta": 0.3, "n": 1.5, "mass": "abc"},
+            "sampler.n: expected an integer, got 1.5",
+        ),
+        "mass before config checks": (
+            FD2,
+            {"name": "hmc", "delta": -0.3, "mass": "abc"},
+            "sampler: could not convert string to float: 'abc'",
+        ),
+        "config checks before m": (
+            FD2,
+            {"name": "relativistic_hmc", "delta": 0.0, "m": "x"},
+            "sampler: step size delta must be positive",
+        ),
+        "surrogate_scale before config checks": (
+            FD2,
+            {"name": "surrogate_hmc", "delta": 0.0, "surrogate_scale": "x"},
+            "sampler.surrogate_scale: expected a finite number, got 'x'",
+        ),
+        "sampler": (
+            FD2,
+            {"name": "hmc", "delta": 0.3, "mass": [[1.0, 2.0], [2.0, 1.0]]},
+            "sampler: matrix is not positive definite",
+        ),
+        "sampler, hilbert": (
+            QUARTIC,
+            {"name": "pcn", "rho": 0.5, "delta": 0.5},
+            "sampler: specify exactly one of rho or delta",
+        ),
+        "target": (
+            {"name": "rosenbrock", "dim": 0}, MALA, "target: dim must be an integer >= 1, got 0"
+        ),
+        "target.variances": (
+            {"name": "anisotropic_gaussian", "variances": [1.0, -1.0]},
+            MALA,
+            "target.variances: variances must be a nonempty positive vector",
+        ),
+        "target.coefficients": (
+            {**LINEAR, "coefficients": "x"},
+            PCN,
+            "target.coefficients: could not convert string to float: 'x'",
+        ),
+        "target.eigenvalues.values": (
+            {"name": "hilbert_quartic", "eigenvalues": {"values": [1.0, -0.5]}},
+            PCN,
+            "target.eigenvalues.values: eigenvalues must be strictly positive",
+        ),
+        "target.eigenvalues.power_law": (
+            {"name": "hilbert_quartic", "eigenvalues": {"power_law": {"d": 4, "c": -1.0}}},
+            PCN,
+            "target.eigenvalues.power_law: eigenvalue scale must be positive",
+        ),
+        "target before sampler": (
+            {"name": "donut"},
+            {"name": "nuts"},
+            "target.name: unknown target 'donut'; see `invmh list`",
+        ),
+        # One case per kind of field.
+        "float": (
+            FD2,
+            {"name": "mala", "delta": True},
+            "sampler.delta: expected a finite number, got True",
+        ),
+        "int": (
+            {"name": "standard_gaussian", "dim": 2.0},
+            MALA,
+            "target.dim: expected an integer, got 2.0",
+        ),
+        "str": (FD2, {"name": 3}, "sampler.name: expected a string, got 3"),
+        "list": (
+            {"name": "anisotropic_gaussian", "variances": "abc"},
+            MALA,
+            "target.variances: expected a list, got 'abc'",
+        ),
+        "object": (
+            {"name": "hilbert_quartic", "eigenvalues": [1.0]},
+            PCN,
+            "target.eigenvalues: expected an object, got [1.0]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reports_the_first_error(self, tmp_path, capsys, case):
+        target, sampler, message = self.CASES[case]
+        config = experiment(tmp_path / "out", target, sampler)
+        assert main(["run", str(write_config(tmp_path, config))]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_surrogate_hmc_needs_a_gradient(self):
+        flat = TargetPotential(eval=lambda q: 0.0)
+        with pytest.raises(ConfigError, match="surrogate_hmc requires a target with a gradient"):
+            build_kernel({"name": "surrogate_hmc", "delta": 0.3}, "fd", flat, 2)

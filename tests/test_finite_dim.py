@@ -731,6 +731,16 @@ def _stormer_verlet_kernel(cfg):
     )
 
 
+def _palindrome_kernel(cfg):
+    return surrogate_hmc(
+        standard_gaussian(2), gaussian_momentum(2), cfg,
+        scheme="palindrome", stages=[(lambda t, z: drift(t, lambda v: v, z), 0.3)], dim=2,
+    )
+
+
+HEAVY_MASS = np.array([100.0, 100.0])
+
+
 class TestOutOfRangeParameters:
     @pytest.mark.parametrize(
         "build",
@@ -747,6 +757,17 @@ class TestOutOfRangeParameters:
             lambda: _stormer_verlet_kernel(HmcConfig(delta=0.0, delta1=0.1, delta2=0.3)),
             lambda: _stormer_verlet_kernel(HmcConfig(delta=0.2, delta1=0.1)),
             lambda: _stormer_verlet_kernel(HmcConfig(delta=0.2, delta2=0.3)),
+            # The palindrome steps with its stages' times.
+            lambda: _palindrome_kernel(HmcConfig(delta=0.2, delta1=0.1)),
+            lambda: _palindrome_kernel(HmcConfig(delta=0.2, delta2=0.3)),
+            # Their momentum law is given separately, so a mass would be ignored.
+            lambda: relativistic_hmc(
+                standard_gaussian(2), 1.0, 1.0, HmcConfig(delta=0.5, mass=HEAVY_MASS), 2
+            ),
+            lambda: surrogate_hmc(
+                standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.5, mass=HEAVY_MASS),
+                f1=lambda v: v, f2=lambda q: -q, dim=2,
+            ),
             lambda: hmc(standard_gaussian(2), HmcConfig(delta=0.5), dim=0),
             lambda: mala(standard_gaussian(2), delta=0.5, dim=0),
             lambda: relativistic_hmc(standard_gaussian(2), 1.0, 1.0, HmcConfig(delta=0.5), dim=0),
@@ -776,6 +797,8 @@ class TestOutOfRangeParameters:
             "rwmc.dim", "standard_gaussian.dim", "HmcConfig.delta", "HmcConfig.delta2",
             "inf_hmc.delta1=0", "inf_hmc.delta2=0", "stormer_verlet.delta=0",
             "stormer_verlet.delta1", "stormer_verlet.delta2",
+            "palindrome.delta1", "palindrome.delta2", "relativistic_hmc.mass",
+            "surrogate_hmc.mass",
             "hmc.dim=0", "mala.dim=0", "relativistic_hmc.dim=0", "rmhmc.dim=0",
             "gaussian_momentum.dim=0", "gaussian_jump.dim=0", "surrogate_hmc.dim=0",
             "surrogate_hmc.dim=2.5", "power_law_eigenvalues.d=2.5", "rosenbrock.dim=2.5",
@@ -907,6 +930,14 @@ class TestSurrogateHmc:
             z = ExtendedPoint(0.6 * rng.standard_normal(2), rng.standard_normal(2))
             assert vp.involution.log_rn(z) == pytest.approx(
                 general.involution.log_rn(z), abs=1e-4
+            )
+
+    def test_numerical_jacobian_path_names_its_cap(self):
+        # Finite differences over 2 * dim = 12 coordinates exceed the cap of 10.
+        with pytest.raises(ConfigurationError, match=r"Jacobian cap \(10 total coordinates\)"):
+            surrogate_hmc(
+                standard_gaussian(6), gaussian_momentum(6), HmcConfig(delta=0.3),
+                f1=lambda v: v, f2=lambda q: -q, volume_preserving=False, dim=6,
             )
 
     def test_exact_flow_surrogate_always_accepts(self, rng):

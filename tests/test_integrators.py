@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invmh import (
+    ConfigurationError,
     ExtendedPoint,
     FixedPointError,
     check_reversibility,
@@ -383,3 +384,32 @@ class TestCheckReversibility:
         )
         assert not report.passed
         assert report.max_residual > 1e-3
+
+
+class TestStepCounts:
+    # Each integrator with ``n`` steps of the unit harmonic flow from a
+    # fixed point; the palindrome takes its count at construction.
+    INTEGRATORS = {
+        "leapfrog": lambda n, z: leapfrog(n, 0.1, 0.2, lambda v: v, lambda q: -q, z),
+        "strang_hilbert": lambda n, z: strang_hilbert(n, 0.1, 0.2, lambda q: -q, z),
+        "stormer_verlet": lambda n, z: stormer_verlet(
+            n, 0.2, lambda z: z.v, lambda z: -z.q, z
+        ),
+        "palindromic_compose": lambda n, z: palindromic_compose(
+            [(lambda t, w: rotation(t, w), 0.1)], n=n
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "n", [0, -1, 2.5, True, np.True_, "2"], ids=["0", "-1", "2.5", "True", "np.True_", "str"]
+    )
+    @pytest.mark.parametrize("name", list(INTEGRATORS))
+    def test_bad_count_is_a_configuration_error(self, name, n):
+        z = ExtendedPoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ConfigurationError):
+            self.INTEGRATORS[name](n, z)
+
+    @pytest.mark.parametrize("name", list(INTEGRATORS))
+    def test_numpy_integer_count_accepted(self, name):
+        z = ExtendedPoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        self.INTEGRATORS[name](np.int64(2), z)
