@@ -115,7 +115,7 @@ def _hmc_config(spec: dict, with_mass: bool = False) -> Callable[[], HmcConfig]:
 
 
 def _rwmc(spec: dict, target, dim: int) -> InvolutiveKernel:
-    return rwmc(target, dim=dim, scale=np.asarray(spec.get("scale", 1.0), dtype=float))
+    return _build("sampler.scale", rwmc, target, dim=dim, scale=spec.get("scale", 1.0))
 
 
 def _mala(spec: dict, target, dim: int) -> InvolutiveKernel:
@@ -197,32 +197,41 @@ TARGET_KINDS = {"fd": "a finite-dimensional", "hilbert": "a Hilbert-space"}
 class Sampler(NamedTuple):
     """A builtin sampler: the kind of target it takes, ``build(spec, target,
     dim)``, which reads the sampler section and calls the library's
-    constructor, and its ``invmh list`` text."""
+    constructor, the fields it reads besides ``name`` (any other is
+    rejected), and its ``invmh list`` text."""
 
     kind: str
     build: Callable[[dict, object, int], InvolutiveKernel]
+    fields: tuple[str, ...]
     doc: str
 
 
-# Each sampler's target kind, builder and `invmh list` text; adding a sampler
-# to the CLI is one entry here.
+# Each sampler's target kind, builder, fields and `invmh list` text; adding a
+# sampler to the CLI is one entry here.
 SAMPLERS = {
-    "rwmc": Sampler("fd", _rwmc, "random walk Metropolis; params: scale (number or list, default 1.0)"),
-    "mala": Sampler("fd", _mala, "Metropolis-adjusted Langevin; params: delta"),
-    "hmc": Sampler("fd", _hmc, "Hamiltonian Monte Carlo; "
+    "rwmc": Sampler("fd", _rwmc, ("scale",),
+                    "random walk Metropolis; params: scale (number or list, default 1.0)"),
+    "mala": Sampler("fd", _mala, ("delta",), "Metropolis-adjusted Langevin; params: delta"),
+    "hmc": Sampler("fd", _hmc, ("delta", "n", "mass"), "Hamiltonian Monte Carlo; "
                    "params: delta, n (default 1), mass (diagonal list, optional)"),
-    "relativistic_hmc": Sampler("fd", _relativistic_hmc, "HMC with relativistic kinetic energy; "
+    "relativistic_hmc": Sampler("fd", _relativistic_hmc, ("delta", "n", "m", "c"),
+                                "HMC with relativistic kinetic energy; "
                                 "params: delta, n (default 1), m (default 1.0), c (default 1.0)"),
-    "rmhmc": Sampler("fd", _rmhmc, "Riemannian-manifold HMC with the builtin metric diag(1 + q^2); "
+    "rmhmc": Sampler("fd", _rmhmc, ("delta", "n"),
+                     "Riemannian-manifold HMC with the builtin metric diag(1 + q^2); "
                      "params: delta, n (default 1)"),
-    "surrogate_hmc": Sampler("fd", _surrogate_hmc, "HMC driven by a scaled surrogate force; "
+    "surrogate_hmc": Sampler("fd", _surrogate_hmc, ("delta", "n", "surrogate_scale"),
+                             "HMC driven by a scaled surrogate force; "
                              "params: delta, n (default 1), surrogate_scale (default 1.0)"),
-    "pcn": Sampler("hilbert", _pcn, "preconditioned Crank-Nicolson; params: rho or delta (exactly one)"),
-    "inf_mala": Sampler("hilbert", _inf_mala, "preconditioned MALA over the Gaussian reference; "
-                        "params: delta"),
-    "inf_hmc": Sampler("hilbert", _inf_hmc, "preconditioned HMC over the Gaussian reference; "
+    "pcn": Sampler("hilbert", _pcn, ("rho", "delta"),
+                   "preconditioned Crank-Nicolson; params: rho or delta (exactly one)"),
+    "inf_mala": Sampler("hilbert", _inf_mala, ("delta",),
+                        "preconditioned MALA over the Gaussian reference; params: delta"),
+    "inf_hmc": Sampler("hilbert", _inf_hmc, ("delta1", "delta2", "n"),
+                       "preconditioned HMC over the Gaussian reference; "
                        "params: delta1, delta2 (default 2*delta1), n (default 1)"),
-    "gen_langevin": Sampler("hilbert", _gen_langevin, "generalized Langevin kernel; "
+    "gen_langevin": Sampler("hilbert", _gen_langevin, ("delta", "surrogate"),
+                            "generalized Langevin kernel; "
                             "params: delta, surrogate ('grad' or 'zero', default 'grad')"),
 }
 
@@ -336,6 +345,9 @@ def build_kernel(spec: dict, kind: str, target, dim: int) -> InvolutiveKernel:
     sampler = SAMPLERS[name]
     if sampler.kind != kind:
         _fail("sampler.name", f"{name} requires {TARGET_KINDS[sampler.kind]} target")
+    for key in spec:
+        if key != "name" and key not in sampler.fields:
+            _fail(f"sampler.{key}", f"unknown field for {name}")
     return _build("sampler", sampler.build, spec, target, dim)
 
 

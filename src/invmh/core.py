@@ -58,6 +58,21 @@ def require_count(**parameters) -> None:
             raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def require_vector(name: str, value, dim: int) -> np.ndarray:
+    """``value``, a number or a sequence of length 1 or ``dim``, as a new
+    finite float vector of length ``dim``; :class:`ConfigurationError`
+    names the expected length otherwise."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim > 1 or array.size not in (1, dim):
+        got = f"length {array.size}" if array.ndim == 1 else f"shape {array.shape}"
+        raise ConfigurationError(
+            f"{name} must be a number or a list of length 1 or {dim}, got {got}"
+        )
+    array = np.broadcast_to(array, (dim,)).copy()
+    require_finite(**{name: array})
+    return array
+
+
 class IntegrationError(RuntimeError):
     """Base class for failures inside a proposal map (divergence, implicit
     solver breakdown).  Samplers convert these into rejections."""
@@ -115,10 +130,14 @@ class AuxiliaryKernel:
     ``v`` given ``q``; for Hilbert-space kernels the log-density with respect
     to the Gaussian reference.  Constants independent of ``(q, v)`` may be
     dropped since only differences enter acceptance ratios.
+
+    ``dim``, when declared, is the length of the drawn ``v``: a sampler
+    built for another dimension is rejected at construction.
     """
 
     sample: Callable[[ExtendedPoint, np.random.Generator], np.ndarray]
     log_density_terms: Callable[[ExtendedPoint], float]
+    dim: int | None = None
 
 
 @dataclass(frozen=True)

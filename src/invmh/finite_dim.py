@@ -29,6 +29,7 @@ from .core import (
     TargetPotential,
     require_count,
     require_finite,
+    require_vector,
 )
 from . import integrators
 from .integrators import (
@@ -171,11 +172,13 @@ class _SPD:
         return self._half_logdet
 
 
-def _kinetic_law(draw: Callable, kinetic: Callable[[np.ndarray], float]) -> AuxiliaryKernel:
+def _kinetic_law(
+    draw: Callable, kinetic: Callable[[np.ndarray], float], dim: int
+) -> AuxiliaryKernel:
     """The position-free law of density ``exp(-kinetic(v))``, up to a
-    constant, with draws ``draw(rng)``."""
+    constant, with draws ``draw(rng)`` of length ``dim``."""
     return AuxiliaryKernel(
-        sample=lambda z, rng: draw(rng), log_density_terms=lambda z: -kinetic(z.v)
+        sample=lambda z, rng: draw(rng), log_density_terms=lambda z: -kinetic(z.v), dim=dim
     )
 
 
@@ -184,7 +187,7 @@ def gaussian_momentum(dim: int, mass: np.ndarray | None = None) -> AuxiliaryKern
     require_count(dim=dim)
     require_finite(mass=mass)
     mass = _SPD(mass, dim, ConfigurationError)
-    return _kinetic_law(mass.sample, mass.half_quad)
+    return _kinetic_law(mass.sample, mass.half_quad, dim)
 
 
 def _energy_involution(
@@ -231,8 +234,7 @@ class JumpKinetic:
 def gaussian_jump(dim: int, scale=1.0) -> JumpKinetic:
     """Isotropic (or per-coordinate) Gaussian jump kinetic."""
     require_count(dim=dim)
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), (dim,)).copy()
-    require_finite(scale=scale)
+    scale = require_vector("scale", scale, dim)
     if np.any(scale <= 0):
         raise ConfigurationError("jump scale must be positive")
     return JumpKinetic(
@@ -259,7 +261,7 @@ def rwmc(
         jump = gaussian_jump(dim, scale)
     elif np.shape(jump.sample(np.random.default_rng(0))) != (dim,):  # not the chain's stream
         raise ConfigurationError(f"the jump law does not draw ({dim},) jumps")
-    aux = _kinetic_law(jump.sample, jump.kinetic)
+    aux = _kinetic_law(jump.sample, jump.kinetic, dim)
     involution = _energy_involution(target, aux, lambda z: ExtendedPoint(z.q + z.v, z.v))
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name="rwmc")
 
@@ -318,7 +320,7 @@ def hmc(target: TargetPotential, cfg: HmcConfig, dim: int) -> InvolutiveKernel:
     N(0, M)."""
     mass = _SPD(cfg.mass, dim, ConfigurationError)
     return surrogate_hmc(
-        target, _kinetic_law(mass.sample, mass.half_quad), replace(cfg, mass=None),
+        target, _kinetic_law(mass.sample, mass.half_quad, dim), replace(cfg, mass=None),
         f1=mass.inv_apply, f2=_exact_force(target), dim=dim, name="hmc",
     )
 
@@ -395,7 +397,7 @@ def relativistic_hmc(
         raise ConfigurationError("relativistic parameters m, c must be positive")
     require_count(dim=dim)
     aux = _kinetic_law(
-        _relativistic_momentum_sampler(dim, m, c), lambda v: relativistic_kinetic(m, c, v)
+        _relativistic_momentum_sampler(dim, m, c), lambda v: relativistic_kinetic(m, c, v), dim
     )
     return surrogate_hmc(
         target, aux, cfg, f1=lambda v: relativistic_kinetic_grad(m, c, v),
@@ -601,7 +603,7 @@ def rmhmc(
         ops = z.cached(metric_ops)
         return -ops.half_quad(z.v) - ops.half_logdet()
 
-    aux = AuxiliaryKernel(sample=sample, log_density_terms=log_density_terms)
+    aux = AuxiliaryKernel(sample=sample, log_density_terms=log_density_terms, dim=dim)
     involution = _energy_involution(target, aux, integrator)
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name="rmhmc")
 
@@ -648,6 +650,8 @@ def surrogate_hmc(
     """
     if dim is not None:
         require_count(dim=dim)
+        if aux.dim is not None and aux.dim != dim:
+            raise ConfigurationError(f"the auxiliary law draws {aux.dim}-d velocities, not {dim}-d")
     if cfg.mass is not None:
         raise ConfigurationError(
             "HmcConfig.mass does not apply here: the momentum law is given separately"

@@ -66,22 +66,30 @@ class SpectralGaussian:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One draw, coordinate-wise ``sqrt(lambda_i) * xi_i`` with standard
         normal ``xi``."""
-        return self._sqrt_eig * rng.standard_normal(self.dim)
+        xi = rng.standard_normal(self.dim)
+        xi *= self._sqrt_eig
+        return xi
 
     def frac_power(self, gamma: float, x: np.ndarray) -> np.ndarray:
         """Apply the fractional covariance power: ``(C^gamma x)_i =
         lambda_i**gamma * x_i``."""
         if gamma == 0.0:
             return np.asarray(x, dtype=float)
-        return self.eigenvalues**gamma * np.asarray(x, dtype=float)
+        power = self.eigenvalues if gamma == 1.0 else self.eigenvalues**gamma
+        return power * np.asarray(x, dtype=float)
 
     def cm_inner(self, x: np.ndarray, y: np.ndarray) -> float:
         """Cameron-Martin inner product ``<C^{-1/2} x, C^{-1/2} y>``."""
-        return float(np.sum(np.asarray(x) * np.asarray(y) / self.eigenvalues))
+        return self._sum_over_eigenvalues(np.multiply(x, y, dtype=float))
 
     def cm_sq_norm(self, x: np.ndarray) -> float:
         """Cameron-Martin squared norm ``|C^{-1/2} x|^2``."""
-        return float(np.sum(np.asarray(x) ** 2 / self.eigenvalues))
+        return self._sum_over_eigenvalues(np.square(x, dtype=float))
+
+    def _sum_over_eigenvalues(self, terms: np.ndarray) -> float:
+        """``sum(terms / lambda)``, dividing the new array ``terms`` in place."""
+        terms /= self.eigenvalues
+        return float(terms.sum())
 
     def cm_log_ratio(self, shift: np.ndarray, x: np.ndarray) -> float:
         """``log dN(shift, C)/dN(0, C)`` evaluated at ``x``:

@@ -32,7 +32,7 @@ from .core import (
     require_finite,
 )
 from .gaussian import SpectralGaussian, power_law_eigenvalues
-from .integrators import DivergenceError, momentum_flip, strang_hilbert
+from .integrators import DivergenceError, _rotate, momentum_flip, strang_hilbert
 
 __all__ = [
     "HilbertTarget",
@@ -187,6 +187,7 @@ def _hilbert_kernel(
         aux=AuxiliaryKernel(
             sample=lambda z, rng: aux.sample(ref, z, rng),
             log_density_terms=lambda z: -aux.h_tilde(ref, z),
+            dim=target.dim,
         ),
         involution=Involution(apply_and_log_rn),
         dim=target.dim,
@@ -229,7 +230,8 @@ def pcn(
     target: HilbertTarget, rho: float | None = None, delta: float | None = None
 ) -> InvolutiveKernel:
     """Preconditioned Crank-Nicolson: rotation proposal
-    ``q' = rho q + sqrt(1 - rho^2) v`` with ``v`` from the reference.
+    ``q' = rho q + sqrt(1 - rho^2) v`` with ``v`` from the reference; the
+    involution is ``momentum_flip . rotation(acos rho)``.
 
     The rotation preserves the Gaussian product measure, so the acceptance
     probability is ``1 ∧ exp(phi(q) - phi(q'))`` only.
@@ -240,7 +242,7 @@ def pcn(
 
     def rotate(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         # phi is read through the memo: one evaluation per step, at the image.
-        image = ExtendedPoint(c * z.q + s * z.v, -(-s * z.q + c * z.v), {})
+        image = ExtendedPoint(*_rotate(c, s, z.q, z.v, flip=True), {})
         return image, z.cached(phi.eval) - image.cached(phi.eval)
 
     return _hilbert_kernel(target, AuxLaw(), rotate, "pcn")

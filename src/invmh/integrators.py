@@ -114,11 +114,23 @@ def drift(t: float, f1, z: ExtendedPoint) -> ExtendedPoint:
     return ExtendedPoint(z.q + t * np.asarray(f1(z.v), dtype=float), z.v)
 
 
+def _rotate(c: float, s: float, q, k, flip: bool = False):
+    """``(c q + s k, -s q + c k)`` in two new arrays or, with ``flip``, its
+    momentum flip ``(c q + s k, s q - c k)``, which equals
+    ``-(-s q + c k)`` in IEEE arithmetic.  The two products that are not
+    kept share one scratch array."""
+    product = np.empty(np.shape(q))
+    q_out = c * q
+    q_out += np.multiply(s, k, out=product)
+    v_out = s * q if flip else c * k
+    v_out -= np.multiply(c, k, out=product) if flip else np.multiply(s, q, out=product)
+    return q_out, v_out
+
+
 def rotation(t: float, z: ExtendedPoint) -> ExtendedPoint:
     """Exact flow of ``dq/dt = v, dv/dt = -q``: a rotation in each
     ``(q_i, v_i)`` plane.  Preserves ``|q|^2 + |v|^2``."""
-    c, s = math.cos(t), math.sin(t)
-    return ExtendedPoint(c * z.q + s * z.v, -s * z.q + c * z.v)
+    return ExtendedPoint(*_rotate(math.cos(t), math.sin(t), z.q, z.v))
 
 
 def _require_finite(q: np.ndarray, v: np.ndarray) -> None:
@@ -132,27 +144,42 @@ def _kick_flow_kick(
     """The point ``z_n`` after ``n`` steps ``kick(delta1) . flow . kick(delta1)``
     from ``z``, with ``flow(q, v) -> (q, v)``; with ``trajectory``, each
     ``z_1, ..., z_n`` is also appended to it.  The force is evaluated once
-    per position (a step's closing kick and the next step's opening kick
-    share it), the first read from ``z``'s memo; each built point's memo
-    holds its force.  Raises :class:`DivergenceError` on non-finite states,
-    checked at every step."""
+    per position, the first read from ``z``'s memo, and so is its kick
+    ``delta1 f``: a step's closing kick and the next step's opening kick
+    share both.  Each built point's memo holds its force.
+
+    ``z``'s arrays are never written, and every point has arrays of its
+    own: the opening kick builds a new velocity, ``flow`` returns a new
+    position and a new velocity (or the one it was given), and the closing
+    kick adds into that velocity in place.
+
+    Raises :class:`DivergenceError` when ``z_n`` is not finite, checked once
+    per trajectory.  That is the same as checking every ``z_i``: a
+    non-finite coordinate stays non-finite under the kick ``v + delta1 f``,
+    the drift ``q + delta2 f1(v)`` and the rotation by any ``(c, s)``
+    (``0 * inf`` is NaN), so a trajectory that leaves the finite numbers
+    never returns.  The force may then be evaluated at non-finite positions,
+    as it already is after a drift that overflows."""
     f = np.asarray(z.cached(force), dtype=float)
+    impulse = delta1 * f
     q, v = z.q, z.v
     for _ in range(n):
-        q, v = flow(q, v + delta1 * f)
+        q, v = flow(q, v + impulse)
         f = np.asarray(force(q), dtype=float)
-        v = v + delta1 * f
-        _require_finite(q, v)
+        impulse = delta1 * f
+        v += impulse
         if trajectory is not None:
             trajectory.append(ExtendedPoint(q, v, {force: f}))
+    _require_finite(q, v)
     return ExtendedPoint(q, v, {force: f}) if trajectory is None else trajectory[-1]
 
 
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
     """``n`` repetitions of the kick-drift-kick step with time steps
     ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
-    ``f1(v)``).  Raises :class:`DivergenceError` on non-finite states; the
-    force is evaluated once per position, and the endpoint's memo holds it."""
+    ``f1(v)``).  Raises :class:`DivergenceError` on a non-finite endpoint
+    (see :func:`_kick_flow_kick`); the force is evaluated once per
+    position, and the endpoint's memo holds it."""
     # require_count's rule inline (a call of it costs ten times this check
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
@@ -167,6 +194,7 @@ def strang_hilbert(
     """Strang splitting of the preconditioned dynamics: ``n`` repetitions of
     ``kick(-delta1) . rotation(delta2) . kick(-delta1)`` with force ``f``
     (velocity shifts ``v -> v - delta1 f(q)``), by :func:`leapfrog`'s loop.
+    Raises :class:`DivergenceError` on a non-finite endpoint.
 
     Returns ``(z_n, [z_0, ..., z_n])``, the endpoint and the whole-step
     trajectory, whose points after ``z_0`` carry their forces in their
@@ -176,7 +204,7 @@ def strang_hilbert(
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"strang_hilbert requires an integer n >= 1, got {n!r}")
     c, s = math.cos(delta2), math.sin(delta2)
-    rotation_flow = lambda q, v: (c * q + s * v, -s * q + c * v)
+    rotation_flow = lambda q, v: _rotate(c, s, q, v)
     trajectory = [z]
     return _kick_flow_kick(n, -delta1, rotation_flow, f, z, trajectory), trajectory
 

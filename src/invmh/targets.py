@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, TargetPotential, require_count, require_finite
+from .core import ConfigurationError, TargetPotential, require_count, require_finite, require_vector
 from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .hilbert import HilbertTarget, quartic_bounded_phi
 
@@ -89,8 +89,7 @@ def hilbert_linear(eigenvalues, coefficients) -> HilbertTarget:
     """Linear potential ``phi(q) = <a, q>`` over a spectral Gaussian
     reference."""
     reference = _reference_from_spec(eigenvalues)
-    a = np.broadcast_to(np.asarray(coefficients, dtype=float), (reference.dim,)).copy()
-    require_finite(coefficients=a)
+    a = require_vector("coefficients", coefficients, reference.dim)
     phi = TargetPotential(
         eval=lambda q: float(a @ q),
         grad=lambda q: a,

@@ -418,6 +418,22 @@ class TestConfigErrors:
             {"name": "hmc", "delta": 0.3, "mass": [[1.0, 2.0], [2.0, 1.0]]},
             "sampler: matrix is not positive definite",
         ),
+        # A field the sampler does not read, misspelled or another's, is
+        # reported before the fields it reads.
+        "unknown field": (FD2, {"name": "mala", "detla": 3}, "sampler.detla: unknown field for mala"),
+        "another sampler's field": (
+            FD2, {"name": "mala", "delta": 0.5, "n": 50}, "sampler.n: unknown field for mala"
+        ),
+        "a mass relativistic_hmc ignores": (
+            FD2,
+            {"name": "relativistic_hmc", "delta": 0.3, "mass": [2.0, 2.0]},
+            "sampler.mass: unknown field for relativistic_hmc",
+        ),
+        "sampler.scale": (
+            FD2,
+            {"name": "rwmc", "scale": [1.0, 2.0, 3.0]},
+            "sampler.scale: scale must be a number or a list of length 1 or 2, got length 3",
+        ),
         "sampler, hilbert": (
             QUARTIC,
             {"name": "pcn", "rho": 0.5, "delta": 0.5},
@@ -435,6 +451,12 @@ class TestConfigErrors:
             {**LINEAR, "coefficients": "x"},
             PCN,
             "target.coefficients: could not convert string to float: 'x'",
+        ),
+        "target.coefficients length": (
+            {**LINEAR, "coefficients": [0.5, -0.2]},
+            PCN,
+            "target.coefficients: coefficients must be a number or a list of length 1 or 3, "
+            "got length 2",
         ),
         "target.eigenvalues.values": (
             {"name": "hilbert_quartic", "eigenvalues": {"values": [1.0, -0.5]}},

@@ -10,6 +10,7 @@ import invmh.finite_dim
 import invmh.integrators
 from invmh import (
     AuxLaw,
+    AuxiliaryKernel,
     ConfigurationError,
     ExtendedPoint,
     IntegrationError,
@@ -829,6 +830,37 @@ class TestOutOfRangeParameters:
             assert point_norm(twice, z) <= 1e-12
 
 
+class TestDimensionsAgree:
+    def test_surrogate_hmc_rejects_a_law_of_another_dimension_without_a_draw(self):
+        # It would otherwise crash the chain with a broadcast error at the
+        # first step.
+        build = lambda aux: surrogate_hmc(
+            standard_gaussian(2), aux, HmcConfig(delta=0.3), f1=lambda v: v, f2=lambda q: -q,
+            dim=2,
+        )
+        with pytest.raises(ConfigurationError, match="3-d velocities, not 2-d"):
+            build(gaussian_momentum(3))
+
+        def no_draw(z, rng):
+            raise AssertionError("the law was drawn from at construction")
+
+        declared = AuxiliaryKernel(sample=no_draw, log_density_terms=lambda z: 0.0, dim=3)
+        with pytest.raises(ConfigurationError):
+            build(declared)
+        # An undeclared dimension is not checked.
+        build(dataclasses.replace(declared, dim=None))
+
+    @pytest.mark.parametrize("scale", [[1.0, 2.0, 3.0], [], [[1.0, 2.0]]])
+    def test_gaussian_jump_names_the_expected_length(self, scale):
+        with pytest.raises(ConfigurationError, match="length 1 or 2, got"):
+            gaussian_jump(2, scale)
+
+    def test_hilbert_linear_names_the_expected_length(self):
+        with pytest.raises(ConfigurationError, match="length 1 or 4, got length 3"):
+            hilbert_linear({"d": 4}, [1.0, 2.0, 3.0])
+        assert hilbert_linear({"d": 4}, [2.0]).phi.eval(np.ones(4)) == 8.0
+
+
 class TestAuxiliaryLaws:
     """Every auxiliary law works at any dimension it accepts: at a state
     ``ExtendedPoint(q, None, memo)`` it draws a finite ``(dim,)`` velocity,
@@ -864,6 +896,7 @@ class TestAuxiliaryLaws:
             memo = {}
             v = aux.sample(ExtendedPoint(q, None, memo), rng)
             assert v.shape == (dim,) and np.isfinite(v).all(), name
+            assert aux.dim == dim, name
             assert math.isfinite(aux.log_density_terms(ExtendedPoint(q, v, memo))), name
 
 

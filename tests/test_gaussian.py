@@ -47,6 +47,24 @@ class TestSample:
         assert np.all(np.abs(draws.var(axis=0) - lam) <= 3 * var_se)
 
 
+class TestSameArithmetic:
+    # The methods against their plain formulas, bit for bit: each works in
+    # fewer temporaries, with the same operations in the same order.
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_plain_formulas(self, d, seed):
+        rng = np.random.default_rng(seed)
+        g = SpectralGaussian(power_law_eigenvalues(d, c=rng.uniform(0.1, 3.0)))
+        lam = g.eigenvalues
+        x, y = rng.standard_normal(d), rng.standard_normal(d)
+        assert g.frac_power(1.0, x).tobytes() == (lam**1.0 * x).tobytes()
+        assert g.cm_inner(x, y) == float(np.sum(x * y / lam))
+        assert g.cm_sq_norm(x) == float(np.sum(x**2 / lam))
+        draw = g.sample(np.random.default_rng(seed))
+        expected = np.sqrt(lam) * np.random.default_rng(seed).standard_normal(d)
+        assert draw.tobytes() == expected.tobytes()
+
+
 class TestFracPower:
     def test_gamma_zero_identity(self):
         g = SpectralGaussian(np.array([3.0, 0.5]))

@@ -17,9 +17,11 @@ from invmh import (
     inf_mala,
     langevin_log_accept_ratio,
     leapfrog_refinement_probe,
+    momentum_flip,
     pcn,
     power_law_eigenvalues,
     rho_from_delta,
+    rotation,
     run_chain,
 )
 from invmh.hilbert import (
@@ -155,6 +157,19 @@ class TestPcn:
         assert rho_from_delta(0.0) == 1.0
         assert rho_from_delta(4.0) == 0.0
         assert rho_from_delta(1.0) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("rho", [0.6, 0.9, -0.3])
+    def test_image_is_the_flipped_rotation(self, rng, rho):
+        # Exactly, for rho with cos(acos(rho)) == rho: pcn rotates by the
+        # sine and cosine that rotation(acos(rho)) computes.
+        assert math.cos(math.acos(rho)) == rho
+        target = default_hilbert_target(7)
+        kernel = pcn(target, rho=rho)
+        for _ in range(20):
+            z = ExtendedPoint(target.reference.sample(rng), target.reference.sample(rng))
+            image, _ = kernel.involution.step(z)
+            expected = momentum_flip(rotation(math.acos(rho), z))
+            assert np.array_equal(image.q, expected.q) and np.array_equal(image.v, expected.v)
 
     def test_involution_property(self, rng):
         target = default_hilbert_target(6)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invmh import (
     ConfigurationError,
@@ -171,6 +172,129 @@ class TestStrangHilbert:
             step, momentum_flip, random_points(rng, 2, 100), tol=1e-10
         )
         assert report.passed
+
+
+def reference_kick_flow_kick(n, delta1, flow, force, z, trajectory=None):
+    """The plain kick-flow-kick loop, the reference for the library's: every
+    step allocates its results and checks them for finiteness."""
+    f = np.asarray(z.cached(force), dtype=float)
+    q, v = z.q, z.v
+    for _ in range(n):
+        q, v = flow(q, v + delta1 * f)
+        f = np.asarray(force(q), dtype=float)
+        v = v + delta1 * f
+        if not (np.isfinite(q).all() and np.isfinite(v).all()):
+            raise DivergenceError("non-finite state encountered during integration")
+        if trajectory is not None:
+            trajectory.append(ExtendedPoint(q, v, {force: f}))
+    return ExtendedPoint(q, v, {force: f}) if trajectory is None else trajectory[-1]
+
+
+def reference_leapfrog(n, delta1, delta2, f1, f2, z):
+    drift_flow = lambda q, v: (q + delta2 * np.asarray(f1(v), dtype=float), v)
+    return reference_kick_flow_kick(n, delta1, drift_flow, f2, z)
+
+
+def reference_strang(n, delta1, delta2, f, z):
+    c, s = math.cos(delta2), math.sin(delta2)
+    rotation_flow = lambda q, v: (c * q + s * v, -s * q + c * v)
+    trajectory = [z]
+    return reference_kick_flow_kick(n, -delta1, rotation_flow, f, z, trajectory), trajectory
+
+
+def outcome(integrate):
+    """``integrate()``, or None when it raises DivergenceError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return integrate()
+        except DivergenceError:
+            return None
+
+
+def same_bytes(a: ExtendedPoint, b: ExtendedPoint) -> bool:
+    return a.q.tobytes() == b.q.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
+class TestKickFlowKickLoop:
+    # The in-place loop with one finiteness check per trajectory against the
+    # allocating loop that checked every step.
+    @staticmethod
+    def force(q):
+        return -np.tanh(q) - 0.3 * q - 1e-3 * q**3
+
+    @staticmethod
+    def f1(v):
+        return v + 0.1 * v**3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        n=st.integers(1, 8),
+        delta1=st.floats(-1.5, 1.5),
+        delta2=st.floats(-3.5, 3.5),
+        log_scale=st.floats(-1.0, 120.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_step_checked_loop(self, d, n, delta1, delta2, log_scale, seed):
+        # Large scales overflow the cubic fields: both loops must then raise.
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        z = ExtendedPoint(scale * rng.standard_normal(d), scale * rng.standard_normal(d))
+        force, f1 = self.force, self.f1
+
+        got = outcome(lambda: leapfrog(n, delta1, delta2, f1, force, z))
+        want = outcome(lambda: reference_leapfrog(n, delta1, delta2, f1, force, z))
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert same_bytes(got, want)
+            assert got.memo[force].tobytes() == want.memo[force].tobytes()
+
+        got = outcome(lambda: strang_hilbert(n, delta1, delta2, force, z))
+        want = outcome(lambda: reference_strang(n, delta1, delta2, force, z))
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert same_bytes(got[0], want[0])
+            assert len(got[1]) == len(want[1]) == n + 1
+            for a, b in zip(got[1][1:], want[1][1:]):
+                assert same_bytes(a, b)
+                assert a.memo[force].tobytes() == b.memo[force].tobytes()
+
+    @pytest.mark.parametrize("integrator", ["leapfrog", "strang_hilbert"])
+    def test_infinite_force_at_a_middle_step_raises(self, integrator):
+        # The force is infinite at z_2 only; with finite forces afterwards
+        # the velocity stays infinite to the end, where the one check sits.
+        calls = []
+
+        def force(q):
+            calls.append(None)
+            out = np.zeros(q.shape)
+            if len(calls) == 3:  # z_0 (the memo read), z_1, z_2
+                out[1] = np.inf
+            return out
+
+        z = ExtendedPoint(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, -0.5]))
+        run = {
+            "leapfrog": lambda: leapfrog(5, 0.1, 0.2, np.tanh, force, z),
+            "strang_hilbert": lambda: strang_hilbert(5, 0.1, 0.2, force, z),
+        }[integrator]
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            run()
+        assert len(calls) == 6
+
+    def test_inputs_unmodified_and_points_own_their_arrays(self, rng):
+        q0, v0 = rng.standard_normal(6), rng.standard_normal(6)
+        z = ExtendedPoint(q0.copy(), v0.copy())
+        force = self.force
+        end, trajectory = strang_hilbert(4, 0.2, 0.5, force, z)
+        assert end is trajectory[-1]
+        leap = leapfrog(3, 0.2, 0.3, lambda v: v, force, z)
+        assert z.q.tobytes() == q0.tobytes() and z.v.tobytes() == v0.tobytes()
+        arrays = [leap.q, leap.v, leap.memo[force], z.q, z.v]
+        for point in trajectory[1:]:
+            arrays += [point.q, point.v, point.memo[force]]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
 
 class TestImplicitSteps:
