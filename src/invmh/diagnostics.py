@@ -5,6 +5,7 @@ batch-means moment checks against analytic targets."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -32,6 +33,34 @@ def transition_pairs(observable: np.ndarray) -> np.ndarray:
     return np.column_stack([x[:-1], x[1:]])
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: one strip worker each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _signs(rng: np.random.Generator, n: int, n_permutations: int) -> np.ndarray:
+    """``n`` by ``n_permutations`` random signs, the values and generator
+    state of ``rng.integers(0, 2, size=(n, n_permutations)) * 2.0 - 1.0``
+    without its full-size temporaries: the integers are drawn in row
+    blocks, which consume the stream in the same order."""
+    signs = np.empty((n, n_permutations))
+    for r0 in range(0, n, ROW_BLOCK):
+        block = rng.integers(0, 2, size=(min(ROW_BLOCK, n - r0), n_permutations))
+        signs[r0 : r0 + ROW_BLOCK] = block * 2.0 - 1.0
+    return signs
+
+
+def _distance_into(out, scratch, x1, x2, y1, y2) -> np.ndarray:
+    """``sqrt((x1 - x2)**2 + (y1 - y2)**2)`` written into ``out``: the same
+    IEEE operations as the expression, with no temporaries."""
+    np.square(np.subtract(x1, x2, out=out), out=out)
+    np.square(np.subtract(y1, y2, out=scratch), out=scratch)
+    out += scratch
+    return np.sqrt(out, out=out)
+
+
 def detailed_balance_test(
     pairs: np.ndarray,
     rng: np.random.Generator,
@@ -52,8 +81,16 @@ def detailed_balance_test(
     ``s^T G s = sum_i G_ii + 2 sum_{i<j} s_i s_j G_ij``: only the upper
     triangle is built, in strips of ``ROW_BLOCK`` rows straight from the
     pair coordinates, and all permutations of a strip are evaluated with
-    one matrix product.  Scratch memory is ``O(ROW_BLOCK * n)`` besides the
-    ``n`` by ``n_permutations`` signs; no ``n`` by ``n`` matrix is held.
+    one matrix product.
+
+    The strips run in worker threads, one per CPU the process may use, in
+    a pool created and joined within the call; their results are summed in
+    strip order, so the p-value does not depend on the worker count.  The
+    threads pay off when each BLAS call runs on one thread (for OpenBLAS,
+    ``OPENBLAS_NUM_THREADS=1``); a multithreaded BLAS already spreads the
+    products over the cores.  Scratch memory is
+    ``O(workers * ROW_BLOCK * (n + n_permutations))`` besides the ``n`` by
+    ``n_permutations`` signs; no ``n`` by ``n`` matrix is held.
 
     At most ``max_pairs`` pairs enter the test (a uniform subsample is
     drawn above that); fewer than 100 pairs is an error.
@@ -71,23 +108,44 @@ def detailed_balance_test(
         pairs = pairs[idx]
         n = max_pairs
 
-    signs = rng.integers(0, 2, size=(n, n_permutations)).astype(float) * 2.0 - 1.0
+    signs = _signs(rng, n, n_permutations)
     x, y = pairs[:, 0], pairs[:, 1]
     # Upper-triangle weights of a strip's diagonal block: 1 on the diagonal,
     # 2 above it (each off-diagonal gap stands for G_ij and G_ji).
     head_weights = np.triu(np.full((ROW_BLOCK, ROW_BLOCK), 2.0), 1) + np.eye(ROW_BLOCK)
-    total = 0.0
-    quad = np.zeros(n_permutations)
-    for s0 in range(0, n, ROW_BLOCK):
-        b = min(ROW_BLOCK, n - s0)
-        xi, yi = x[s0 : s0 + b, None], y[s0 : s0 + b, None]
-        xj, yj = x[s0:], y[s0:]
-        cross = np.sqrt((xi - yj) ** 2 + (yi - xj) ** 2)
-        strip = cross - np.sqrt((xi - xj) ** 2 + (yi - yj) ** 2)
+
+    starts = range(0, n, ROW_BLOCK)
+    workers = min(_worker_count(), len(starts))
+    # Scratch rows per worker: a running strip holds one set, taken from and
+    # given back to this list (list.pop and list.append are atomic).
+    sizes = (n, n, n, n_permutations)  # strip, within, scratch, product
+    free = [[np.empty(ROW_BLOCK * cols) for cols in sizes] for _ in range(workers)]
+
+    def strip_terms(s0: int) -> tuple[float, np.ndarray]:
+        b, m = min(ROW_BLOCK, n - s0), n - s0
+        xi, yi, xj, yj = x[s0 : s0 + b, None], y[s0 : s0 + b, None], x[s0:], y[s0:]
+        rows = free.pop()
+        strip, within, scratch, product = (
+            row[: b * cols].reshape(b, cols) for row, cols in zip(rows, (m, m, m, n_permutations))
+        )
+        _distance_into(strip, scratch, xi, yj, yi, xj)
+        strip -= _distance_into(within, scratch, xi, xj, yi, yj)
         strip[:, :b] *= head_weights[:b, :b]
         strip[:, b:] *= 2.0
-        total += float(strip.sum())
-        quad += np.einsum("ij,ij->j", signs[s0 : s0 + b], strip @ signs[s0:])
+        np.matmul(strip, signs[s0:], out=product)
+        terms = float(strip.sum()), np.einsum("ij,ij->j", signs[s0 : s0 + b], product)
+        free.append(rows)
+        return terms
+
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it costs ~7 ms
+    total = 0.0
+    quad = np.zeros(n_permutations)
+    # Strip results are summed in strip order whatever the worker count; the
+    # pool starts threads only when its map is used.
+    with ThreadPoolExecutor(workers) as pool:
+        for strip_total, strip_quad in (pool.map if workers > 1 else map)(strip_terms, starts):
+            total += strip_total
+            quad += strip_quad
 
     scale = 2.0 / (n * n)
     observed = scale * total

@@ -225,10 +225,15 @@ def _energy_involution(
 
 @dataclass(frozen=True)
 class JumpKinetic:
-    """Jump law of the random walk: density proportional to exp(-kinetic)."""
+    """Jump law of the random walk: density proportional to exp(-kinetic).
+
+    ``dim``, when declared, is the length of a drawn jump: :func:`rwmc`
+    compares it with its own without a draw.
+    """
 
     kinetic: Callable[[np.ndarray], float]
     sample: Callable[[np.random.Generator], np.ndarray]
+    dim: int | None = None
 
 
 def gaussian_jump(dim: int, scale=1.0) -> JumpKinetic:
@@ -240,6 +245,7 @@ def gaussian_jump(dim: int, scale=1.0) -> JumpKinetic:
     return JumpKinetic(
         kinetic=lambda v: 0.5 * float(((v / scale) ** 2).sum()),
         sample=lambda rng: scale * rng.standard_normal(dim),
+        dim=dim,
     )
 
 
@@ -259,6 +265,9 @@ def rwmc(
     require_count(dim=dim)
     if jump is None:
         jump = gaussian_jump(dim, scale)
+    elif jump.dim is not None:
+        if jump.dim != dim:
+            raise ConfigurationError(f"the jump law draws {jump.dim}-d jumps, not {dim}-d")
     elif np.shape(jump.sample(np.random.default_rng(0))) != (dim,):  # not the chain's stream
         raise ConfigurationError(f"the jump law does not draw ({dim},) jumps")
     aux = _kinetic_law(jump.sample, jump.kinetic, dim)

@@ -85,6 +85,13 @@ class HilbertTarget:
         ref = self.reference
         return lambda q: ref.frac_power(1.0, np.asarray(grad(q), dtype=float))
 
+    @functools.cached_property
+    def _force_sq_norm(self) -> Callable[[np.ndarray], float]:
+        """``q -> |f(q)|^2`` in the Cameron-Martin norm, the memo key under
+        which the log-RN keeps that value next to the force."""
+        f, ref = self.force(), self.reference
+        return lambda q: ref.cm_sq_norm(np.asarray(f(q), dtype=float))
+
 
 @dataclass(frozen=True)
 class AuxLaw:
@@ -120,6 +127,18 @@ class AuxLaw:
         return float(np.sum(0.5 * z.v**2 * (1.0 / k - 1.0 / lam) + 0.5 * np.log(k / lam)))
 
 
+def _force_and_sq_norm(target: HilbertTarget, z: ExtendedPoint) -> tuple[np.ndarray, float]:
+    """The force at ``z`` and its squared Cameron-Martin norm, both kept in
+    ``z``'s memo: a chain's next step starts at this step's first or last
+    point, so the norm there is computed once."""
+    fz = np.asarray(z.cached(target.force()), dtype=float)
+    memo = {} if z.memo is None else z.memo
+    key = target._force_sq_norm
+    if key not in memo:
+        memo[key] = target.reference.cm_sq_norm(fz)
+    return fz, memo[key]
+
+
 def hilbert_log_rn_from_trajectory(
     target: HilbertTarget,
     aux: AuxLaw,
@@ -144,9 +163,8 @@ def hilbert_log_rn_from_trajectory(
     if not (math.isfinite(phi0) and math.isfinite(phin)):
         return -math.inf
     value = phi0 + aux.h_tilde(ref, z0) - phin - aux.h_tilde(ref, momentum_flip(zn))
-    f0 = np.asarray(z0.cached(f), dtype=float)
-    fn = np.asarray(zn.cached(f), dtype=float)
-    value -= 0.5 * delta1 * delta1 * (ref.cm_sq_norm(f0) - ref.cm_sq_norm(fn))
+    (f0, sq0), (fn, sqn) = _force_and_sq_norm(target, z0), _force_and_sq_norm(target, zn)
+    value -= 0.5 * delta1 * delta1 * (sq0 - sqn)
     inner = 0.0
     for z in trajectory[1:-1]:
         inner += ref.cm_inner(z.v, z.cached(f))

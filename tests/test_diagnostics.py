@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invmh.diagnostics
 from invmh.diagnostics import (
     detailed_balance_test,
     ess,
@@ -136,6 +142,80 @@ class TestDetailedBalanceTest:
         pairs = np.column_stack([x, x[::-1]])
         p = detailed_balance_test(pairs, rng, max_pairs=500)
         assert 0.0 < p <= 1.0
+
+
+class TestStripWorkers:
+    """The strips run in worker threads, one per CPU; results are summed in
+    strip order, so any worker count gives the one-worker result bit for bit."""
+
+    def run(self, monkeypatch, workers, pairs, **kwargs):
+        monkeypatch.setattr(invmh.diagnostics, "_worker_count", lambda: workers)
+        rng = np.random.default_rng(11)
+        p = detailed_balance_test(pairs, rng, **kwargs)
+        return p, rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, max_pairs",
+        [
+            (100, 2000),
+            (127, 2000),
+            (128, 2000),
+            (129, 2000),
+            (257, 2000),
+            (2000, 2000),
+            (700, 300),
+        ],
+    )
+    def test_threads_match_one_worker(self, monkeypatch, n, max_pairs):
+        pairs = metropolis_ar1_pairs(np.random.default_rng(n), n, 0.5)
+        expected = self.run(monkeypatch, 1, pairs, max_pairs=max_pairs)
+        for workers in (2, 3):
+            assert self.run(monkeypatch, workers, pairs, max_pairs=max_pairs) == expected
+
+    def test_more_workers_than_cpus_under_fast_thread_switching(self, monkeypatch):
+        # Each running strip takes a scratch set from a shared list; a set
+        # handed to two strips at once would corrupt the statistics.
+        pairs = metropolis_ar1_pairs(np.random.default_rng(5), 1000, 1.0)
+        expected = self.run(monkeypatch, 1, pairs, n_permutations=199)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.run(monkeypatch, 4 * (os.cpu_count() or 1), pairs, n_permutations=199)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        pairs = metropolis_ar1_pairs(np.random.default_rng(2), 600, 1.0)
+        before = threading.active_count()
+        self.run(monkeypatch, 3, pairs)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, n_permutations", [(100, 999), (129, 1), (300, 199)])
+    def test_chunked_signs_match_one_draw(self, n, n_permutations):
+        one, chunked = np.random.default_rng(4), np.random.default_rng(4)
+        expected = one.integers(0, 2, size=(n, n_permutations)).astype(float) * 2.0 - 1.0
+        got = invmh.diagnostics._signs(chunked, n, n_permutations)
+        assert np.array_equal(got, expected)
+        assert chunked.random() == one.random()
+
+    def test_import_loads_neither_thread_pools_nor_logging(self):
+        # The pool is imported by the first threaded call, not by the
+        # package: an import at the top would add ~7 ms to every start.
+        code = (
+            "import sys, invmh; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        src = str(Path(invmh.diagnostics.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestEss:

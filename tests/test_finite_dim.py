@@ -108,6 +108,18 @@ class TestRwmc:
         with pytest.raises(ConfigurationError):
             rwmc(standard_gaussian(2), 2, jump=gaussian_jump(3))
 
+    def test_declared_jump_dimension_checked_without_a_draw(self):
+        from invmh.finite_dim import JumpKinetic
+
+        def sample(rng):
+            raise AssertionError("rwmc drew from a jump law that declares its dimension")
+
+        jump = JumpKinetic(kinetic=lambda v: 0.5 * float(v @ v), sample=sample, dim=3)
+        with pytest.raises(ConfigurationError, match="3-d jumps, not 2-d"):
+            rwmc(standard_gaussian(2), 2, jump=jump)
+        assert rwmc(standard_gaussian(3), 3, jump=jump).dim == 3
+        assert gaussian_jump(3, scale=0.5).dim == 3
+
 
 class TestMala:
     def test_zero_gradient_reduces_to_rwmc(self, rng):
