@@ -26,7 +26,6 @@ from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .integrators import (
     DivergenceError,
     FixedPointError,
-    SurrogateField,
     check_reversibility,
     drift,
     euler_a_step,
@@ -43,7 +42,6 @@ from .integrators import (
 )
 from .finite_dim import (
     HmcConfig,
-    JumpKinetic,
     PositionMetric,
     SamplerError,
     diagonal_quadratic_metric,

@@ -78,6 +78,14 @@ _FIELD_KINDS = {
 }
 
 
+def _only(section: dict, path: str, fields, owner: str = "") -> None:
+    """Rejects the first key of ``section`` that is not in ``fields``: a
+    misspelled or misplaced field would otherwise be ignored."""
+    for key in section:
+        if key not in fields:
+            _fail(f"{path}.{key}", f"unknown field for {owner}" if owner else "unknown field")
+
+
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
     if key not in section:
         if required:
@@ -105,13 +113,11 @@ def _steps(spec: dict) -> int:
     return _get(spec, "sampler", "n", int, required=False, default=1)
 
 
-def _hmc_config(spec: dict, with_mass: bool = False) -> Callable[[], HmcConfig]:
-    """Reads ``delta``, ``n`` and, ``with_mass``, the mass, in that order.
-    Returns the HmcConfig's constructor, so that a builder chooses whether
-    the config's own checks come before or after its other fields."""
-    delta, n = _delta(spec), _steps(spec)
-    mass = np.asarray(spec["mass"], dtype=float) if with_mass and "mass" in spec else None
-    return partial(HmcConfig, delta=delta, n=n, mass=mass)
+def _hmc_config(spec: dict) -> Callable[[], HmcConfig]:
+    """Reads ``delta`` and ``n``, in that order.  Returns the HmcConfig's
+    constructor, so that a builder chooses whether the config's own checks
+    come before or after its other fields."""
+    return partial(HmcConfig, delta=_delta(spec), n=_steps(spec))
 
 
 def _rwmc(spec: dict, target, dim: int) -> InvolutiveKernel:
@@ -123,7 +129,9 @@ def _mala(spec: dict, target, dim: int) -> InvolutiveKernel:
 
 
 def _hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
-    return hmc(target, _hmc_config(spec, with_mass=True)(), dim)
+    make_cfg = _hmc_config(spec)
+    mass = np.asarray(spec["mass"], dtype=float) if "mass" in spec else None
+    return hmc(target, make_cfg(), dim, mass=mass)
 
 
 def _relativistic_hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
@@ -180,14 +188,19 @@ def _gen_langevin(spec: dict, target, dim: int) -> InvolutiveKernel:
 # ---------------------------------------------------------------------------
 # Builtin catalogs
 
+# Each target's fields besides ``name`` (any other is rejected) and its
+# `invmh list` text.
 TARGETS = {
-    "standard_gaussian": "isotropic Gaussian; params: dim (int)",
-    "anisotropic_gaussian": "diagonal Gaussian; params: variances (list of positive numbers)",
-    "rosenbrock": "banana-shaped potential; params: dim (int, default 2), a (default 1.0), b (default 10.0)",
-    "hilbert_quartic": "bounded quartic potential over a Gaussian reference; "
-    "params: eigenvalues ({'values': [...]} or {'power_law': {'d', 'c', 'p'}})",
-    "hilbert_linear": "linear potential <a, q> over a Gaussian reference; "
-    "params: eigenvalues (as above), coefficients (number or list)",
+    "standard_gaussian": (("dim",), "isotropic Gaussian; params: dim (int)"),
+    "anisotropic_gaussian": (("variances",),
+                             "diagonal Gaussian; params: variances (list of positive numbers)"),
+    "rosenbrock": (("dim", "a", "b"), "banana-shaped potential; "
+                   "params: dim (int, default 2), a (default 1.0), b (default 10.0)"),
+    "hilbert_quartic": (("eigenvalues",), "bounded quartic potential over a Gaussian reference; "
+                        "params: eigenvalues ({'values': [...]} or "
+                        "{'power_law': {'d', 'c', 'p'}})"),
+    "hilbert_linear": (("eigenvalues", "coefficients"), "linear potential <a, q> over a Gaussian "
+                       "reference; params: eigenvalues (as above), coefficients (number or list)"),
 }
 
 # The target kinds, as build_target returns them, and their names in messages.
@@ -262,7 +275,7 @@ EXAMPLE_CONFIGS = {
 
 def list_builtins() -> str:
     lines = ["Targets:"]
-    for name, doc in TARGETS.items():
+    for name, (_, doc) in TARGETS.items():
         lines.append(f"  {name}: {doc}")
     lines.append("Samplers:")
     for name, sampler in SAMPLERS.items():
@@ -293,26 +306,31 @@ def _reference(section: dict, path: str) -> SpectralGaussian:
     """The Gaussian reference of a Hilbert target; errors name the field."""
     spec = _get(section, path, "eigenvalues", dict)
     path += ".eigenvalues"
+    _only(spec, path, ("values", "power_law"))
+    if len(spec) != 1:
+        _fail(path, "expected exactly one of 'values' or 'power_law'")
     if "values" in spec:
         values = spec["values"]
         if not isinstance(values, list) or not values:
             _fail(f"{path}.values", "expected a nonempty list")
         return _build(f"{path}.values", SpectralGaussian, values)
-    if "power_law" in spec:
-        path += ".power_law"
-        pl = spec["power_law"]
-        if not isinstance(pl, dict):
-            _fail(path, "expected an object")
-        d = _get(pl, path, "d", int)
-        c = _get(pl, path, "c", float, required=False, default=1.0)
-        p = _get(pl, path, "p", float, required=False, default=2.0)
-        return _build(path, lambda: SpectralGaussian(power_law_eigenvalues(d, c=c, p=p)))
-    _fail(path, "expected 'values' or 'power_law'")
+    path += ".power_law"
+    pl = spec["power_law"]
+    if not isinstance(pl, dict):
+        _fail(path, "expected an object")
+    _only(pl, path, ("d", "c", "p"))
+    d = _get(pl, path, "d", int)
+    c = _get(pl, path, "c", float, required=False, default=1.0)
+    p = _get(pl, path, "p", float, required=False, default=2.0)
+    return _build(path, lambda: SpectralGaussian(power_law_eigenvalues(d, c=c, p=p)))
 
 
 def build_target(spec: dict):
     """Returns (kind, target object, dimension); kind is 'fd' or 'hilbert'."""
     name = _get(spec, "target", "name", str)
+    if name not in TARGETS:
+        _fail("target.name", f"unknown target {name!r}; see `invmh list`")
+    _only(spec, "target", ("name", *TARGETS[name][0]), name)
     if name == "standard_gaussian":
         dim = _get(spec, "target", "dim", int)
         if dim < 1:
@@ -330,12 +348,10 @@ def build_target(spec: dict):
     if name == "hilbert_quartic":
         target = target_lib.hilbert_quartic(_reference(spec, "target"))
         return "hilbert", target, target.dim
-    if name == "hilbert_linear":
-        reference = _reference(spec, "target")
-        coefficients = spec.get("coefficients", 1.0)
-        target = _build("target.coefficients", target_lib.hilbert_linear, reference, coefficients)
-        return "hilbert", target, target.dim
-    _fail("target.name", f"unknown target {name!r}; see `invmh list`")
+    reference = _reference(spec, "target")  # hilbert_linear
+    coefficients = spec.get("coefficients", 1.0)
+    target = _build("target.coefficients", target_lib.hilbert_linear, reference, coefficients)
+    return "hilbert", target, target.dim
 
 
 def build_kernel(spec: dict, kind: str, target, dim: int) -> InvolutiveKernel:
@@ -345,14 +361,13 @@ def build_kernel(spec: dict, kind: str, target, dim: int) -> InvolutiveKernel:
     sampler = SAMPLERS[name]
     if sampler.kind != kind:
         _fail("sampler.name", f"{name} requires {TARGET_KINDS[sampler.kind]} target")
-    for key in spec:
-        if key != "name" and key not in sampler.fields:
-            _fail(f"sampler.{key}", f"unknown field for {name}")
+    _only(spec, "sampler", ("name", *sampler.fields), name)
     return _build("sampler", sampler.build, spec, target, dim)
 
 
 def _validate_run_section(config: dict) -> dict:
     run_spec = _get(config, "config", "run", dict)
+    _only(run_spec, "run", ("n_steps", "burn_in", "n_chains", "seed", "q0"))
     n_steps = _get(run_spec, "run", "n_steps", int)
     if n_steps < 0:
         _fail("run.n_steps", "must be nonnegative")
@@ -371,6 +386,7 @@ def _validate_run_section(config: dict) -> dict:
 
 def _validate_output_section(config: dict) -> dict:
     out = _get(config, "config", "output", dict, required=False, default={})
+    _only(out, "output", ("directory", "thinning"))
     directory = _get(out, "output", "directory", str, required=False, default=None)
     thinning = _get(out, "output", "thinning", int, required=False, default=1)
     if thinning < 1:
@@ -436,6 +452,7 @@ def run(
     try:
         if not isinstance(config, dict):
             raise ConfigError("config: top level must be an object")
+        _only(config, "config", ("target", "sampler", "run", "output"))
         kind, target, dim = build_target(_get(config, "config", "target", dict))
         run_spec = _validate_run_section(config)
         out_spec = _validate_output_section(config)

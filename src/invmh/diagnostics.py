@@ -24,6 +24,8 @@ DEFAULT_PERMUTATIONS = 999
 DEFAULT_MAX_PAIRS = 2000
 # Rows of the gap matrix built at a time by detailed_balance_test.
 ROW_BLOCK = 128
+# Batches of summarize_chain's batch-means standard errors.
+SUMMARY_BATCHES = 20
 
 
 def transition_pairs(observable: np.ndarray) -> np.ndarray:
@@ -285,14 +287,14 @@ def summarize_chain(
     accepted: np.ndarray,
     rng: np.random.Generator,
     burn_in: int = 0,
-    batch_count: int = 20,
-    db_max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> ChainSummary:
     """Build a :class:`ChainSummary` from a realized chain.
 
     ``burn_in`` initial states are dropped before any statistic is formed.
-    The detailed-balance test and ESS are computed per default observable;
-    chains too short for a test report NaN for it.
+    The detailed-balance test (on at most ``DEFAULT_MAX_PAIRS`` pairs) and
+    ESS are computed per default observable; moments carry batch-means
+    standard errors over ``SUMMARY_BATCHES`` batches.  Chains too short for
+    a test report NaN for it.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     kept = positions[burn_in:]
@@ -312,15 +314,13 @@ def summarize_chain(
         degenerate[name] = bool(flag)
         pairs = transition_pairs(series)
         if pairs.shape[0] >= 100:
-            pvalues[name] = detailed_balance_test(pairs, rng, max_pairs=db_max_pairs)
+            pvalues[name] = detailed_balance_test(pairs, rng)
         else:
             pvalues[name] = float("nan")
 
     n, d = kept.shape
-    if n >= batch_count:
-        report = moment_check(
-            kept, np.zeros(d), np.ones(d), batch_count=batch_count
-        )
+    if n >= SUMMARY_BATCHES:
+        report = moment_check(kept, np.zeros(d), np.ones(d), batch_count=SUMMARY_BATCHES)
         means = report.means
         mean_se = report.mean_se
         variances = report.variances

@@ -35,7 +35,6 @@ from . import integrators
 from .integrators import (
     DivergenceError,
     FixedPointError,
-    SurrogateField,
     leapfrog,
     numerical_logdet_jacobian,
     palindromic_compose,
@@ -44,7 +43,6 @@ from .integrators import (
 
 __all__ = [
     "HmcConfig",
-    "JumpKinetic",
     "PositionMetric",
     "SamplerError",
     "gaussian_jump",
@@ -81,21 +79,15 @@ class HmcConfig:
     negative: a time-reversed leapfrog is still reversible, so the momentum
     flip still makes it an involution.  A zero drift step is rejected (the
     chain could never move), a zero kick step is not (a random walk).
-    ``mass`` is a diagonal (1-d) or dense SPD (2-d) mass matrix, identity
-    when omitted; only :func:`hmc` reads it (the other constructors take
-    their momentum law separately and reject a mass).
     """
 
     delta: float
     n: int = 1
     delta1: float | None = None
     delta2: float | None = None
-    mass: np.ndarray | None = None
 
     def __post_init__(self):
-        require_finite(
-            delta=self.delta, delta1=self.delta1, delta2=self.delta2, mass=self.mass
-        )
+        require_finite(delta=self.delta, delta1=self.delta1, delta2=self.delta2)
         require_count(n=self.n)
         if self.delta1 is None and self.delta <= 0:
             raise ConfigurationError("step size delta must be positive")
@@ -182,6 +174,18 @@ def _kinetic_law(
     )
 
 
+def _check_aux_dim(aux: AuxiliaryKernel, dim: int) -> None:
+    """Rejects a law that does not draw ``(dim,)`` velocities, which would
+    otherwise crash the chain at its first step.  A declared ``aux.dim`` is
+    compared without a draw; an undeclared law is drawn from once, at the
+    origin, with a generator of its own (not the chain's)."""
+    drawn = (aux.dim,) if aux.dim is not None else np.shape(
+        aux.sample(ExtendedPoint(np.zeros(dim), None, {}), np.random.default_rng(0))
+    )
+    if drawn != (dim,):
+        raise ConfigurationError(f"the auxiliary law draws {drawn} velocities, not ({dim},)")
+
+
 def gaussian_momentum(dim: int, mass: np.ndarray | None = None) -> AuxiliaryKernel:
     """Position-independent Gaussian momentum law N(0, M)."""
     require_count(dim=dim)
@@ -223,56 +227,44 @@ def _energy_involution(
 # Random walk
 
 
-@dataclass(frozen=True)
-class JumpKinetic:
-    """Jump law of the random walk: density proportional to exp(-kinetic).
-
-    ``dim``, when declared, is the length of a drawn jump: :func:`rwmc`
-    compares it with its own without a draw.
-    """
-
-    kinetic: Callable[[np.ndarray], float]
-    sample: Callable[[np.random.Generator], np.ndarray]
-    dim: int | None = None
-
-
-def gaussian_jump(dim: int, scale=1.0) -> JumpKinetic:
-    """Isotropic (or per-coordinate) Gaussian jump kinetic."""
+def gaussian_jump(dim: int, scale=1.0) -> AuxiliaryKernel:
+    """Isotropic (or per-coordinate) Gaussian jump law N(0, diag(scale^2))."""
     require_count(dim=dim)
     scale = require_vector("scale", scale, dim)
     if np.any(scale <= 0):
         raise ConfigurationError("jump scale must be positive")
-    return JumpKinetic(
-        kinetic=lambda v: 0.5 * float(((v / scale) ** 2).sum()),
-        sample=lambda rng: scale * rng.standard_normal(dim),
-        dim=dim,
+    return _kinetic_law(
+        lambda rng: scale * rng.standard_normal(dim),
+        lambda v: 0.5 * float(((v / scale) ** 2).sum()),
+        dim,
     )
 
 
 def rwmc(
     target: TargetPotential,
     dim: int,
-    jump: JumpKinetic | None = None,
-    scale=1.0,
+    jump: AuxiliaryKernel | None = None,
+    scale=None,
 ) -> InvolutiveKernel:
     """Random walk Metropolis via the involution ``S(q, v) = (q + v, -v)``:
     the drift ``(q, v) -> (q + v, v)`` followed by the momentum flip.
 
-    The acceptance ratio is the energy difference
-    ``1 ∧ exp(U(q) + K(v) - U(q + v) - K(-v))``; for symmetric jump kinetics
-    the K terms cancel and the classical Metropolis rule remains.
+    The jump law is ``jump``, any auxiliary law ``p(v | q)`` (it may depend
+    on the position), or else ``gaussian_jump(dim, scale)``, with ``scale``
+    1 when omitted and rejected next to a ``jump``.  The acceptance ratio is
+    the energy difference ``1 ∧ exp(H(q, v) - H(q + v, -v))`` with
+    ``H(q, v) = U(q) - log p(v | q)``; for a symmetric position-free jump
+    law the jump terms cancel and the classical Metropolis rule remains.
     """
     require_count(dim=dim)
     if jump is None:
-        jump = gaussian_jump(dim, scale)
-    elif jump.dim is not None:
-        if jump.dim != dim:
-            raise ConfigurationError(f"the jump law draws {jump.dim}-d jumps, not {dim}-d")
-    elif np.shape(jump.sample(np.random.default_rng(0))) != (dim,):  # not the chain's stream
-        raise ConfigurationError(f"the jump law does not draw ({dim},) jumps")
-    aux = _kinetic_law(jump.sample, jump.kinetic, dim)
-    involution = _energy_involution(target, aux, lambda z: ExtendedPoint(z.q + z.v, z.v))
-    return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name="rwmc")
+        jump = gaussian_jump(dim, 1.0 if scale is None else scale)
+    elif scale is not None:
+        raise ConfigurationError("pass either a jump law or a scale, not both")
+    else:
+        _check_aux_dim(jump, dim)
+    involution = _energy_involution(target, jump, lambda z: ExtendedPoint(z.q + z.v, z.v))
+    return InvolutiveKernel(target=target, aux=jump, involution=involution, dim=dim, name="rwmc")
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +311,21 @@ def mala_log_accept_ratio(
     )
 
 
-def hmc(target: TargetPotential, cfg: HmcConfig, dim: int) -> InvolutiveKernel:
+def hmc(
+    target: TargetPotential, cfg: HmcConfig, dim: int, mass: np.ndarray | None = None
+) -> InvolutiveKernel:
     """Hamiltonian Monte Carlo with quadratic kinetic energy N(0, M).
 
-    Leapfrog trajectories of ``H = U(q) + <M^{-1} v, v>/2``; since the
-    integrator is volume-preserving and H is even in ``v``, the acceptance
-    probability is ``1 ∧ exp(H(z) - H(S_hat(z)))``.  It is
+    ``mass`` M is a diagonal (1-d) or dense SPD (2-d) matrix, the identity
+    when omitted.  Leapfrog trajectories of ``H = U(q) + <M^{-1} v, v>/2``;
+    since the integrator is volume-preserving and H is even in ``v``, the
+    acceptance probability is ``1 ∧ exp(H(z) - H(S_hat(z)))``.  It is
     :func:`surrogate_hmc` with the exact force ``-grad U`` and momenta
     N(0, M)."""
-    mass = _SPD(cfg.mass, dim, ConfigurationError)
+    require_finite(mass=mass)
+    mass = _SPD(mass, dim, ConfigurationError)
     return surrogate_hmc(
-        target, _kinetic_law(mass.sample, mass.half_quad, dim), replace(cfg, mass=None),
+        target, _kinetic_law(mass.sample, mass.half_quad, dim), cfg,
         f1=mass.inv_apply, f2=_exact_force(target), dim=dim, name="hmc",
     )
 
@@ -621,13 +617,31 @@ def rmhmc(
 # Fully parameterized surrogate dynamics
 
 
+def _f1_is_odd(f1, dim: int, points: bool) -> bool:
+    """Whether ``f1(-v) = -f1(v)`` within 1e-10 at 50 random velocities
+    and, for point fields (``points``), random positions shared by the two
+    points; drawn from a generator of its own."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        v = rng.standard_normal(dim)
+        if points:
+            q, memo = rng.standard_normal(dim), {}
+            plus, minus = f1(ExtendedPoint(q, v, memo)), f1(ExtendedPoint(q, -v, memo))
+        else:
+            plus, minus = f1(v), f1(-v)
+        plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
+        if not np.all(np.isfinite(plus)) or np.max(np.abs(plus + minus)) > 1e-10:
+            return False
+    return True
+
+
 def surrogate_hmc(
     target: TargetPotential,
     aux: AuxiliaryKernel,
     cfg: HmcConfig,
     f1=None,
     f2=None,
-    fields: SurrogateField | None = None,
+    f1_odd: bool = False,
     scheme: str = "leapfrog",
     stages=None,
     volume_preserving: bool = True,
@@ -643,12 +657,12 @@ def surrogate_hmc(
     ``"palindrome"`` (explicit ``stages`` of (flow, t), repeated ``cfg.n``
     times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and the
     palindrome with its stages' times; both reject a config that sets
-    ``delta1`` or ``delta2``.  The momentum law is ``aux``, so a config that
-    sets ``mass`` is rejected too.  Forces may be passed as
-    bare callables, in which case the caller vouches for the parity of
-    ``f1`` (odd for momentum-flip reversibility), or as a
-    :class:`SurrogateField` whose declared parity is spot-checked at
-    construction.
+    ``delta1`` or ``delta2``, and the palindrome rejects ``f1`` and ``f2``.
+    The caller vouches for the parity of ``f1``, odd in ``v`` for
+    momentum-flip reversibility; ``f1_odd=True`` declares it, and it is then
+    spot-checked at construction (which requires ``dim``).  With ``dim``,
+    ``aux`` must draw ``(dim,)`` velocities: a declared ``aux.dim`` is
+    compared, an undeclared law is drawn from once at the origin.
 
     With ``volume_preserving=True`` the acceptance uses the energy
     difference of ``H(z) = U(q) - aux.log_density_terms(z)``; the
@@ -659,23 +673,17 @@ def surrogate_hmc(
     """
     if dim is not None:
         require_count(dim=dim)
-        if aux.dim is not None and aux.dim != dim:
-            raise ConfigurationError(f"the auxiliary law draws {aux.dim}-d velocities, not {dim}-d")
-    if cfg.mass is not None:
-        raise ConfigurationError(
-            "HmcConfig.mass does not apply here: the momentum law is given separately"
-        )
-    if fields is not None:
-        if f1 is not None or f2 is not None:
-            raise ConfigurationError("pass either fields or f1/f2, not both")
-        f1, f2 = fields.f1, fields.f2
-        if fields.f1_odd and dim is not None:
-            points = scheme == "stormer_verlet"
-            if not fields.check_f1_odd(dim, np.random.default_rng(0), points=points):
-                raise ConfigurationError("declared parity f1(-v) = -f1(v) fails a spot check")
+        _check_aux_dim(aux, dim)
     d1, d2 = cfg.steps()
     if scheme in ("leapfrog", "stormer_verlet") and (f1 is None or f2 is None):
         raise ConfigurationError(f"{scheme} scheme requires f1 and f2")
+    if scheme == "palindrome" and (f1 is not None or f2 is not None or f1_odd):
+        raise ConfigurationError("the palindrome scheme does not read f1, f2 or f1_odd")
+    if f1_odd:
+        if dim is None:
+            raise ConfigurationError("a declared odd f1 is spot-checked, which requires dim")
+        if not _f1_is_odd(f1, dim, points=scheme == "stormer_verlet"):
+            raise ConfigurationError("declared parity f1(-v) = -f1(v) fails a spot check")
     sets_steps = cfg.delta1 is not None or cfg.delta2 is not None
     if sets_steps and scheme in ("stormer_verlet", "palindrome"):
         raise ConfigurationError(f"the {scheme} scheme does not read delta1 or delta2")

@@ -18,7 +18,6 @@ from .core import ExtendedPoint, ConfigurationError, IntegrationError, require_c
 __all__ = [
     "DivergenceError",
     "FixedPointError",
-    "SurrogateField",
     "kick",
     "drift",
     "rotation",
@@ -60,48 +59,6 @@ class FixedPointError(IntegrationError):
     def __init__(self, residual: float, reason: str = "fixed-point iteration stalled at residual"):
         super().__init__(f"{reason} {residual:.3e}")
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class SurrogateField:
-    """Separable surrogate force pair: ``f1`` maps velocities (the drift),
-    ``f2`` maps positions (the kick).
-
-    For :func:`stormer_verlet` the fields are point fields ``f1(z)``,
-    ``f2(z)`` instead.
-
-    ``f1_odd`` declares the parity ``f1(-v) == -f1(v)`` (``f1(q, -v) ==
-    -f1(q, v)`` for point fields) that makes the integrator momentum-flip
-    reversible; a declared parity is verified by a randomized spot check
-    when the field is wired into a sampler.
-    """
-
-    f1: Callable
-    f2: Callable
-    f1_odd: bool = False
-
-    def check_f1_odd(
-        self,
-        dim: int,
-        rng: np.random.Generator,
-        n_points: int = 50,
-        tol: float = 1e-10,
-        points: bool = False,
-    ) -> bool:
-        """Whether ``f1`` is odd in ``v`` at ``n_points`` random velocities
-        (and, with ``points``, random positions shared by the two points)."""
-        for _ in range(n_points):
-            v = rng.standard_normal(dim)
-            if points:
-                q, memo = rng.standard_normal(dim), {}
-                plus = self.f1(ExtendedPoint(q, v, memo))
-                minus = self.f1(ExtendedPoint(q, -v, memo))
-            else:
-                plus, minus = self.f1(v), self.f1(-v)
-            plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
-            if not np.all(np.isfinite(plus)) or np.max(np.abs(plus + minus)) > tol:
-                return False
-        return True
 
 
 def kick(t: float, f2, z: ExtendedPoint) -> ExtendedPoint:

@@ -113,7 +113,7 @@ def build_kernel_zoo() -> list[ZooEntry]:
 
     t5 = _bumpy_gaussian(5)
     mass5 = np.linspace(0.5, 2.0, 5)
-    k_hmc = hmc(t5, HmcConfig(delta=0.3, n=3, mass=mass5), dim=5)
+    k_hmc = hmc(t5, HmcConfig(delta=0.3, n=3), dim=5, mass=mass5)
     entries.append(
         ZooEntry(
             "hmc",

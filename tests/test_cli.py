@@ -364,7 +364,8 @@ class TestEverySampler:
 
 class TestConfigErrors:
     # Invalid configs, each with the whole line it prints.  Several hold two
-    # errors, of which the one read first is reported.
+    # errors, of which the one read first is reported.  A fourth entry, when
+    # present, adds fields to the config's sections (or new sections).
     MALA = {"name": "mala", "delta": 0.5}
     PCN = {"name": "pcn", "delta": 0.5}
     CASES = {
@@ -468,6 +469,48 @@ class TestConfigErrors:
             PCN,
             "target.eigenvalues.power_law: eigenvalue scale must be positive",
         ),
+        # Every section rejects a field it does not read, before the fields
+        # it reads; the top level first.
+        "target.dimm": (
+            {"name": "rosenbrock", "dim": 0, "dimm": 5},
+            MALA,
+            "target.dimm: unknown field for rosenbrock",
+        ),
+        "another target's field": (
+            {**FD2, "variances": [1.0, 2.0]},
+            MALA,
+            "target.variances: unknown field for standard_gaussian",
+        ),
+        "target.eigenvalues": (
+            {"name": "hilbert_quartic", "eigenvalues": {"value": [1.0], "power_law": {"d": 4}}},
+            PCN,
+            "target.eigenvalues.value: unknown field",
+        ),
+        "target.eigenvalues both": (
+            {"name": "hilbert_quartic", "eigenvalues": {"values": [1.0], "power_law": {"d": 4}}},
+            PCN,
+            "target.eigenvalues: expected exactly one of 'values' or 'power_law'",
+        ),
+        "target.eigenvalues empty": (
+            {"name": "hilbert_quartic", "eigenvalues": {}},
+            PCN,
+            "target.eigenvalues: expected exactly one of 'values' or 'power_law'",
+        ),
+        "target.eigenvalues.power_law": (
+            {"name": "hilbert_quartic", "eigenvalues": {"power_law": {"d": 4, "pp": 3.0}}},
+            PCN,
+            "target.eigenvalues.power_law.pp: unknown field",
+        ),
+        "run.burnin": (FD2, MALA, "run.burnin: unknown field", {"run": {"burnin": 50}}),
+        "output.thining": (
+            FD2, MALA, "output.thining: unknown field", {"output": {"thining": 10}}
+        ),
+        "top level": (
+            {"name": "rosenbrock", "dimm": 5},
+            MALA,
+            "config.outptu: unknown field",
+            {"run": {"burnin": 50}, "output": {"thining": 10}, "outptu": {}},
+        ),
         "target before sampler": (
             {"name": "donut"},
             {"name": "nuts"},
@@ -499,8 +542,10 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_reports_the_first_error(self, tmp_path, capsys, case):
-        target, sampler, message = self.CASES[case]
+        target, sampler, message, *extra = self.CASES[case]
         config = experiment(tmp_path / "out", target, sampler)
+        for section, fields in (extra[0] if extra else {}).items():
+            config[section] = {**config.get(section, {}), **fields}
         assert main(["run", str(write_config(tmp_path, config))]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()

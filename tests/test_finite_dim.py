@@ -91,11 +91,10 @@ class TestRwmc:
 
     def test_asymmetric_jump_keeps_kinetic_correction(self):
         # A skewed jump kinetic must contribute K(v) - K(-v).
-        from invmh.finite_dim import JumpKinetic
-
-        jump = JumpKinetic(
-            kinetic=lambda v: float(np.sum(v**2) + 0.5 * np.sum(v)),
-            sample=lambda rng: rng.standard_normal(1),
+        jump = AuxiliaryKernel(
+            sample=lambda z, rng: rng.standard_normal(1),
+            log_density_terms=lambda z: -float(np.sum(z.v**2) + 0.5 * np.sum(z.v)),
+            dim=1,
         )
         kernel = rwmc(standard_gaussian(1), dim=1, jump=jump)
         z = ExtendedPoint(np.zeros(1), np.array([0.4]))
@@ -109,16 +108,62 @@ class TestRwmc:
             rwmc(standard_gaussian(2), 2, jump=gaussian_jump(3))
 
     def test_declared_jump_dimension_checked_without_a_draw(self):
-        from invmh.finite_dim import JumpKinetic
-
-        def sample(rng):
+        def sample(z, rng):
             raise AssertionError("rwmc drew from a jump law that declares its dimension")
 
-        jump = JumpKinetic(kinetic=lambda v: 0.5 * float(v @ v), sample=sample, dim=3)
-        with pytest.raises(ConfigurationError, match="3-d jumps, not 2-d"):
+        jump = AuxiliaryKernel(
+            sample=sample, log_density_terms=lambda z: -0.5 * float(z.v @ z.v), dim=3
+        )
+        with pytest.raises(ConfigurationError, match=r"draws \(3,\) velocities, not \(2,\)"):
             rwmc(standard_gaussian(2), 2, jump=jump)
         assert rwmc(standard_gaussian(3), 3, jump=jump).dim == 3
         assert gaussian_jump(3, scale=0.5).dim == 3
+
+    def test_undeclared_jump_dimension_checked_with_one_draw(self):
+        draws = []
+
+        def sample(z, rng):
+            draws.append(z.q.copy())
+            return rng.standard_normal(3)
+
+        jump = AuxiliaryKernel(sample=sample, log_density_terms=lambda z: 0.0)
+        with pytest.raises(ConfigurationError, match=r"draws \(3,\) velocities, not \(2,\)"):
+            rwmc(standard_gaussian(2), 2, jump=jump)
+        assert len(draws) == 1 and np.array_equal(draws[0], np.zeros(2))
+
+    @staticmethod
+    def _position_dependent_jump(dim: int) -> AuxiliaryKernel:
+        """N(0, diag(s(q)^2)) jumps, with s(q) = 0.5 + 0.4 tanh(q)^2; the
+        q-dependent normalization enters the log-density terms."""
+        scale = lambda q: 0.5 + 0.4 * np.tanh(q) ** 2
+        return AuxiliaryKernel(
+            sample=lambda z, rng: z.cached(scale) * rng.standard_normal(dim),
+            log_density_terms=lambda z: -0.5 * float(np.sum((z.v / z.cached(scale)) ** 2))
+            - float(np.sum(np.log(z.cached(scale)))),
+        )
+
+    def test_position_dependent_jump_is_an_involution(self, rng):
+        kernel = rwmc(rosenbrock(dim=2, a=1.0, b=3.0), 2, jump=self._position_dependent_jump(2))
+        for _ in range(20):
+            z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
+            twice = kernel.involution.apply(kernel.involution.apply(z))
+            assert point_norm(twice, z) <= 1e-12
+
+    def test_position_dependent_jump_matches_oracle(self, rng):
+        # log rho(S z) - log rho(z) with rho(q, v) = exp(-U(q)) p(v | q),
+        # against the energy form read at the image point.
+        target = rosenbrock(dim=2, a=1.0, b=3.0)
+        jump = self._position_dependent_jump(2)
+        kernel = rwmc(target, 2, jump=jump)
+        ext = lambda q, v: -target.eval(q) + jump.log_density_terms(ExtendedPoint(q, v))
+        for _ in range(10):
+            z = ExtendedPoint(0.6 * rng.standard_normal(2), 0.5 * rng.standard_normal(2))
+            oracle = generic_log_rn(ext, kernel.involution.apply, z)
+            assert kernel.involution.log_rn(z) == pytest.approx(oracle, abs=1e-6)
+        # The jump terms do not cancel: the log-RN differs from the
+        # Metropolis ratio of a position-free law.
+        z = ExtendedPoint(np.array([0.2, -0.1]), np.array([0.9, 0.4]))
+        assert abs(kernel.involution.log_rn(z) - (target.eval(z.q) - target.eval(z.q + z.v))) > 0.1
 
 
 class TestMala:
@@ -212,7 +257,7 @@ class TestHmc:
 
     def test_dense_mass_matrix(self, rng):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        kernel = hmc(standard_gaussian(2), HmcConfig(delta=0.3, n=2, mass=cov), dim=2)
+        kernel = hmc(standard_gaussian(2), HmcConfig(delta=0.3, n=2), dim=2, mass=cov)
         z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
         image = kernel.involution.apply(z)
         twice = kernel.involution.apply(image)
@@ -315,7 +360,7 @@ class TestRmhmc:
         )
         target = rosenbrock(dim=2, a=1.0, b=2.0)
         k_r = rmhmc(target, metric, delta=0.15, n=3, dim=2)
-        k_h = hmc(target, HmcConfig(delta=0.15, n=3, mass=mass), dim=2)
+        k_h = hmc(target, HmcConfig(delta=0.15, n=3), dim=2, mass=mass)
         for _ in range(20):
             z = ExtendedPoint(0.5 * rng.standard_normal(2), rng.standard_normal(2))
             a, la = k_r.involution.step(z)
@@ -333,7 +378,7 @@ class TestRmhmc:
         )
         target = rosenbrock(dim=2, a=1.0, b=2.0)
         k_r = rmhmc(target, metric, delta=0.15, n=3, dim=2)
-        k_h = hmc(target, HmcConfig(delta=0.15, n=3, mass=mass), dim=2)
+        k_h = hmc(target, HmcConfig(delta=0.15, n=3), dim=2, mass=mass)
         for _ in range(20):
             z = ExtendedPoint(0.5 * rng.standard_normal(2), rng.standard_normal(2))
             a, la = k_r.involution.step(z)
@@ -674,7 +719,7 @@ class TestNonFiniteParameters:
             "rwmc.scale": lambda x: rwmc(fd, dim=2, scale=x),
             "diagonal mass": lambda x: gaussian_momentum(2, mass=np.array([1.0, x])),
             "dense mass": lambda x: hmc(
-                fd, HmcConfig(delta=0.5, mass=np.array([[2.0, x], [x, 2.0]])), 2
+                fd, HmcConfig(delta=0.5), 2, mass=np.array([[2.0, x], [x, 2.0]])
             ),
             "inf_hmc.delta1": lambda x: inf_hmc(hilbert, AuxLaw(), delta1=x),
             "inf_hmc.delta2": lambda x: inf_hmc(hilbert, AuxLaw(), delta1=0.1, delta2=x),
@@ -744,14 +789,12 @@ def _stormer_verlet_kernel(cfg):
     )
 
 
-def _palindrome_kernel(cfg):
+def _palindrome_kernel(cfg, **kwargs):
     return surrogate_hmc(
         standard_gaussian(2), gaussian_momentum(2), cfg,
         scheme="palindrome", stages=[(lambda t, z: drift(t, lambda v: v, z), 0.3)], dim=2,
+        **kwargs,
     )
-
-
-HEAVY_MASS = np.array([100.0, 100.0])
 
 
 class TestOutOfRangeParameters:
@@ -759,6 +802,8 @@ class TestOutOfRangeParameters:
         "build",
         [
             lambda: rwmc(standard_gaussian(2), dim=0),
+            # A scale next to a jump law would be ignored.
+            lambda: rwmc(standard_gaussian(2), 2, jump=gaussian_jump(2, 0.5), scale=3.0),
             lambda: standard_gaussian(0),
             lambda: HmcConfig(delta=0.0, delta1=0.1),
             lambda: HmcConfig(delta=0.5, delta2=0.0),
@@ -773,13 +818,13 @@ class TestOutOfRangeParameters:
             # The palindrome steps with its stages' times.
             lambda: _palindrome_kernel(HmcConfig(delta=0.2, delta1=0.1)),
             lambda: _palindrome_kernel(HmcConfig(delta=0.2, delta2=0.3)),
-            # Their momentum law is given separately, so a mass would be ignored.
-            lambda: relativistic_hmc(
-                standard_gaussian(2), 1.0, 1.0, HmcConfig(delta=0.5, mass=HEAVY_MASS), 2
-            ),
+            # The palindrome steps with its stages, so forces would be ignored.
+            lambda: _palindrome_kernel(HmcConfig(delta=0.2), f1=lambda v: v, f2=lambda q: -q),
+            lambda: _palindrome_kernel(HmcConfig(delta=0.2), f1_odd=True),
+            # A declared parity is spot-checked at dim, so it would never be.
             lambda: surrogate_hmc(
-                standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.5, mass=HEAVY_MASS),
-                f1=lambda v: v, f2=lambda q: -q, dim=2,
+                standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.5),
+                f1=lambda v: v, f2=lambda q: -q, f1_odd=True,
             ),
             lambda: hmc(standard_gaussian(2), HmcConfig(delta=0.5), dim=0),
             lambda: mala(standard_gaussian(2), delta=0.5, dim=0),
@@ -807,11 +852,12 @@ class TestOutOfRangeParameters:
             lambda: power_law_eigenvalues(4, p=0.5),
         ],
         ids=[
-            "rwmc.dim", "standard_gaussian.dim", "HmcConfig.delta", "HmcConfig.delta2",
+            "rwmc.dim", "rwmc.scale_with_jump", "standard_gaussian.dim", "HmcConfig.delta",
+            "HmcConfig.delta2",
             "inf_hmc.delta1=0", "inf_hmc.delta2=0", "stormer_verlet.delta=0",
             "stormer_verlet.delta1", "stormer_verlet.delta2",
-            "palindrome.delta1", "palindrome.delta2", "relativistic_hmc.mass",
-            "surrogate_hmc.mass",
+            "palindrome.delta1", "palindrome.delta2", "palindrome.forces",
+            "palindrome.f1_odd", "surrogate_hmc.f1_odd_without_dim",
             "hmc.dim=0", "mala.dim=0", "relativistic_hmc.dim=0", "rmhmc.dim=0",
             "gaussian_momentum.dim=0", "gaussian_jump.dim=0", "surrogate_hmc.dim=0",
             "surrogate_hmc.dim=2.5", "power_law_eigenvalues.d=2.5", "rosenbrock.dim=2.5",
@@ -850,7 +896,7 @@ class TestDimensionsAgree:
             standard_gaussian(2), aux, HmcConfig(delta=0.3), f1=lambda v: v, f2=lambda q: -q,
             dim=2,
         )
-        with pytest.raises(ConfigurationError, match="3-d velocities, not 2-d"):
+        with pytest.raises(ConfigurationError, match=r"draws \(3,\) velocities, not \(2,\)"):
             build(gaussian_momentum(3))
 
         def no_draw(z, rng):
@@ -859,8 +905,12 @@ class TestDimensionsAgree:
         declared = AuxiliaryKernel(sample=no_draw, log_density_terms=lambda z: 0.0, dim=3)
         with pytest.raises(ConfigurationError):
             build(declared)
-        # An undeclared dimension is not checked.
-        build(dataclasses.replace(declared, dim=None))
+        # An undeclared dimension is checked with one draw at the origin.
+        undeclared = dataclasses.replace(
+            declared, sample=lambda z, rng: rng.standard_normal(3), dim=None
+        )
+        with pytest.raises(ConfigurationError, match=r"draws \(3,\) velocities, not \(2,\)"):
+            build(undeclared)
 
     @pytest.mark.parametrize("scale", [[1.0, 2.0, 3.0], [], [[1.0, 2.0]]])
     def test_gaussian_jump_names_the_expected_length(self, scale):
@@ -1007,28 +1057,24 @@ class TestSurrogateHmc:
     def test_surrogate_field_parity_verified(self):
         # A claimed-but-false parity is caught by the construction-time
         # randomized spot check.
-        from invmh import SurrogateField
-
         target = standard_gaussian(2)
-        bad = SurrogateField(f1=lambda v: v + 1.0, f2=lambda q: -q, f1_odd=True)
         with pytest.raises(Exception):
-            surrogate_hmc(target, gaussian_momentum(2), HmcConfig(delta=0.3), fields=bad, dim=2)
-        good = SurrogateField(f1=lambda v: v**3, f2=lambda q: -q, f1_odd=True)
+            surrogate_hmc(
+                target, gaussian_momentum(2), HmcConfig(delta=0.3),
+                f1=lambda v: v + 1.0, f2=lambda q: -q, f1_odd=True, dim=2,
+            )
         kernel = surrogate_hmc(
-            target, gaussian_momentum(2), HmcConfig(delta=0.3), fields=good, dim=2
+            target, gaussian_momentum(2), HmcConfig(delta=0.3),
+            f1=lambda v: v**3, f2=lambda q: -q, f1_odd=True, dim=2,
         )
         assert kernel.name == "surrogate_hmc"
 
     def test_surrogate_field_with_stormer_verlet(self, rng):
         # Point fields are spot-checked with points.
-        from invmh import SurrogateField
-
         target = standard_gaussian(2)
-        fields = SurrogateField(
-            f1=lambda z: z.v / (1.0 + z.q**2), f2=lambda z: -z.q, f1_odd=True
-        )
         kernel = surrogate_hmc(
-            target, gaussian_momentum(2), HmcConfig(delta=0.2), fields=fields,
+            target, gaussian_momentum(2), HmcConfig(delta=0.2),
+            f1=lambda z: z.v / (1.0 + z.q**2), f2=lambda z: -z.q, f1_odd=True,
             scheme="stormer_verlet", dim=2,
         )
         for _ in range(30):
@@ -1041,14 +1087,11 @@ class TestSurrogateHmc:
         [("leapfrog", lambda v: v**2), ("stormer_verlet", lambda z: z.v**2 + z.q)],
     )
     def test_even_f1_rejected_under_both_schemes(self, scheme, f1):
-        from invmh import SurrogateField
-
         f2 = (lambda q: -q) if scheme == "leapfrog" else (lambda z: -z.q)
-        fields = SurrogateField(f1=f1, f2=f2, f1_odd=True)
         with pytest.raises(ConfigurationError, match="parity"):
             surrogate_hmc(
                 standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.2),
-                fields=fields, scheme=scheme, dim=2,
+                f1=f1, f2=f2, f1_odd=True, scheme=scheme, dim=2,
             )
 
     def test_stormer_verlet_scheme(self, rng):
