@@ -44,10 +44,15 @@ def require_finite(**parameters) -> None:
     """Raise :class:`ConfigurationError` unless every given parameter (a
     number or an array; ``None`` stands for "not set") is finite.  Kernel
     constructors call it so that a NaN or infinite parameter fails when the
-    kernel is built, not as a chain that rejects every step."""
+    kernel is built, not as a chain that rejects every step.  The message
+    is one line: an array's first non-finite entry and its index."""
     for name, value in parameters.items():
         if value is not None and not np.isfinite(value).all():
-            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            array = np.asarray(value, dtype=float)
+            index = np.argwhere(~np.isfinite(array))[0].tolist()
+            at = f" at index {index}" if index else ""
+            got = float(array[tuple(index)])
+            raise ConfigurationError(f"{name} must be finite, got {got!r}{at}")
 
 
 def require_count(**parameters) -> None:

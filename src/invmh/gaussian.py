@@ -80,16 +80,11 @@ class SpectralGaussian:
 
     def cm_inner(self, x: np.ndarray, y: np.ndarray) -> float:
         """Cameron-Martin inner product ``<C^{-1/2} x, C^{-1/2} y>``."""
-        return self._sum_over_eigenvalues(np.multiply(x, y, dtype=float))
+        return float(np.sum(np.multiply(x, y, dtype=float) / self.eigenvalues))
 
     def cm_sq_norm(self, x: np.ndarray) -> float:
         """Cameron-Martin squared norm ``|C^{-1/2} x|^2``."""
-        return self._sum_over_eigenvalues(np.square(x, dtype=float))
-
-    def _sum_over_eigenvalues(self, terms: np.ndarray) -> float:
-        """``sum(terms / lambda)``, dividing the new array ``terms`` in place."""
-        terms /= self.eigenvalues
-        return float(terms.sum())
+        return float(np.sum(np.square(x, dtype=float) / self.eigenvalues))
 
     def cm_log_ratio(self, shift: np.ndarray, x: np.ndarray) -> float:
         """``log dN(shift, C)/dN(0, C)`` evaluated at ``x``:

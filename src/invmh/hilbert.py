@@ -8,8 +8,9 @@ dynamics ``dq/dt = v, dv/dt = -q - f(q)`` into a velocity shift by ``f``
 (which stays absolutely continuous by Cameron-Martin) and an exact rotation
 (which preserves the Gaussian product measure), run by the explicit
 kick-flow-kick loop of :mod:`invmh.integrators`.  The closed-form log
-Radon-Nikodym derivative (:func:`hilbert_log_rn`) reads ``phi`` and the
-force at every whole-step point from the forces those points carry.
+Radon-Nikodym derivative (:func:`hilbert_log_rn`) is summed over the inner
+points as the loop builds them, and reads ``phi``, the force and its
+Cameron-Martin dual at the two endpoints through their memos.
 """
 
 from __future__ import annotations
@@ -86,11 +87,12 @@ class HilbertTarget:
         return lambda q: ref.frac_power(1.0, np.asarray(grad(q), dtype=float))
 
     @functools.cached_property
-    def _force_sq_norm(self) -> Callable[[np.ndarray], float]:
-        """``q -> |f(q)|^2`` in the Cameron-Martin norm, the memo key under
-        which the log-RN keeps that value next to the force."""
-        f, ref = self.force(), self.reference
-        return lambda q: ref.cm_sq_norm(np.asarray(f(q), dtype=float))
+    def _force_dual(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``g: q -> f(q) / lambda``, the force's Cameron-Martin dual
+        (``<v, f(q)>_CM = v @ g(q)``), and the memo key under which the
+        log-RN keeps that vector next to the force."""
+        f, lam = self.force(), self.reference.eigenvalues
+        return lambda q: np.asarray(f(q), dtype=float) / lam
 
 
 @dataclass(frozen=True)
@@ -127,16 +129,41 @@ class AuxLaw:
         return float(np.sum(0.5 * z.v**2 * (1.0 / k - 1.0 / lam) + 0.5 * np.log(k / lam)))
 
 
-def _force_and_sq_norm(target: HilbertTarget, z: ExtendedPoint) -> tuple[np.ndarray, float]:
-    """The force at ``z`` and its squared Cameron-Martin norm, both kept in
-    ``z``'s memo: a chain's next step starts at this step's first or last
-    point, so the norm there is computed once."""
+def _force_and_dual(target: HilbertTarget, z: ExtendedPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The force ``f`` at ``z`` and its Cameron-Martin dual ``f / lambda``,
+    both kept in ``z``'s memo: a chain's next step starts at this step's
+    first or last point, so the dual there is computed once."""
     fz = np.asarray(z.cached(target.force()), dtype=float)
     memo = {} if z.memo is None else z.memo
-    key = target._force_sq_norm
+    key = target._force_dual
     if key not in memo:
-        memo[key] = target.reference.cm_sq_norm(fz)
+        memo[key] = fz / target.reference.eigenvalues
     return fz, memo[key]
+
+
+def _log_rn(target: HilbertTarget, aux: AuxLaw, delta1: float, z0, zn, inner: float) -> float:
+    """Closed-form log Radon-Nikodym derivative of ``flip . strang`` from
+    ``z0`` to ``zn``, given ``inner``, the sum of ``<v_i, f(q_i)>_CM`` over
+    the inner points ``z_1, ..., z_{n-1}``.
+
+    The value is
+    ``phi(q_0) + H~(q_0, v_0) - phi(q_n) - H~(q_n, -v_n)`` plus the
+    Cameron-Martin terms of the ``n`` velocity shifts; a non-finite ``phi``
+    yields ``-inf`` (reject).  ``phi``, the force, its dual and the
+    auxiliary variances are read through the endpoints' memos."""
+    phi0 = z0.cached(target.phi.eval)
+    phin = zn.cached(target.phi.eval)
+    if not (math.isfinite(phi0) and math.isfinite(phin)):
+        return -math.inf
+    ref = target.reference
+    value = phi0 + aux.h_tilde(ref, z0) - phin - aux.h_tilde(ref, momentum_flip(zn))
+    (f0, g0), (fn, gn) = _force_and_dual(target, z0), _force_and_dual(target, zn)
+    value -= 0.5 * delta1 * delta1 * float(f0 @ g0 - fn @ gn)
+    value += 2.0 * delta1 * inner
+    value += delta1 * float(z0.v @ g0 + zn.v @ gn)
+    if math.isnan(value):
+        return math.nan
+    return float(value)
 
 
 def hilbert_log_rn_from_trajectory(
@@ -146,33 +173,28 @@ def hilbert_log_rn_from_trajectory(
     trajectory: Sequence[ExtendedPoint],
 ) -> float:
     """Closed-form log Radon-Nikodym derivative of ``flip . strang`` from a
-    recorded trajectory ``[z_0, ..., z_n]`` of whole Strang steps.
+    recorded trajectory ``[z_0, ..., z_n]`` of whole Strang steps (see
+    :func:`_log_rn`); the inner points' forces are read through their
+    memos, where the integrator left them.  The kernels take the same sums
+    without recording the trajectory."""
+    f, lam = target.force(), target.reference.eigenvalues
+    inner = sum(float(z.v @ (z.cached(f) / lam)) for z in trajectory[1:-1])
+    return _log_rn(target, aux, delta1, trajectory[0], trajectory[-1], inner)
 
-    The value is
-    ``phi(q_0) + H~(q_0, v_0) - phi(q_n) - H~(q_n, -v_n)`` plus the
-    Cameron-Martin terms accumulated by the ``n`` velocity shifts; a
-    non-finite ingredient yields ``-inf`` (reject).  ``phi``, the force and
-    the auxiliary variances are read through the points' memos, where the
-    integrator left forces.
-    """
-    ref = target.reference
-    f = target.force()
-    z0, zn = trajectory[0], trajectory[-1]
-    phi0 = z0.cached(target.phi.eval)
-    phin = zn.cached(target.phi.eval)
-    if not (math.isfinite(phi0) and math.isfinite(phin)):
-        return -math.inf
-    value = phi0 + aux.h_tilde(ref, z0) - phin - aux.h_tilde(ref, momentum_flip(zn))
-    (f0, sq0), (fn, sqn) = _force_and_sq_norm(target, z0), _force_and_sq_norm(target, zn)
-    value -= 0.5 * delta1 * delta1 * (sq0 - sqn)
-    inner = 0.0
-    for z in trajectory[1:-1]:
-        inner += ref.cm_inner(z.v, z.cached(f))
-    value += 2.0 * delta1 * inner
-    value += delta1 * (ref.cm_inner(z0.v, f0) + ref.cm_inner(zn.v, fn))
-    if math.isnan(value):
-        return math.nan
-    return float(value)
+
+def _strang_involution(
+    target: HilbertTarget, aux: AuxLaw, delta1: float, delta2: float, n: int, z: ExtendedPoint
+) -> tuple[ExtendedPoint, float]:
+    """``flip . strang`` at ``z`` and its closed-form log-RN, whose terms at
+    the inner points are taken as the integrator builds them (the arithmetic
+    of :func:`hilbert_log_rn_from_trajectory`): no trajectory is kept.  The
+    image keeps the last point's memo, with ``phi``, the force and its dual
+    there."""
+    lam = target.reference.eigenvalues
+    terms = []
+    visit = lambda q, v, fq: terms.append(float(v @ (fq / lam)))
+    endpoint, _ = strang_hilbert(n, delta1, delta2, target.force(), z, visit)
+    return momentum_flip(endpoint), _log_rn(target, aux, delta1, z, endpoint, sum(terms))
 
 
 def hilbert_log_rn(
@@ -184,13 +206,12 @@ def hilbert_log_rn(
     z: ExtendedPoint,
 ) -> float:
     """Run the Strang integrator from ``z`` and evaluate the closed-form
-    log-RN on the recorded trajectory.  A diverged trajectory yields
-    ``-inf`` (reject)."""
+    log-RN along it, keeping only the endpoints.  A diverged trajectory
+    yields ``-inf`` (reject)."""
     try:
-        _, trajectory = strang_hilbert(n, delta1, delta2, target.force(), z)
+        return _strang_involution(target, aux, delta1, delta2, n, z)[1]
     except DivergenceError:
         return -math.inf
-    return hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
 
 
 def _hilbert_kernel(
@@ -216,16 +237,10 @@ def _hilbert_kernel(
 def _strang_kernel(
     target: HilbertTarget, aux: AuxLaw, delta1: float, delta2: float, n: int, name: str
 ) -> InvolutiveKernel:
-    """``flip . strang`` with the closed-form log-RN of its trajectory; the
-    image keeps the last point's memo, with ``phi`` and the force there."""
-    f = target.force()
-
-    def strang_and_log_rn(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
-        endpoint, trajectory = strang_hilbert(n, delta1, delta2, f, z)
-        value = hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
-        return momentum_flip(endpoint), value
-
-    return _hilbert_kernel(target, aux, strang_and_log_rn, name)
+    """``flip . strang`` with its closed-form log-RN (see
+    :func:`_strang_involution`)."""
+    involution = lambda z: _strang_involution(target, aux, delta1, delta2, n, z)
+    return _hilbert_kernel(target, aux, involution, name)
 
 
 def rho_from_delta(delta: float) -> float:
@@ -377,30 +392,18 @@ def leapfrog_refinement_probe(
     if rng is None:
         rng = np.random.default_rng(0)
     dims = tuple(int(d) for d in d_sequence)
-    naive_medians = []
-    strang_medians = []
+    naive, strang = [], []
     for d in dims:
         target = make_target(d)
-        ref = target.reference
-        f = target.force()
-        aux = AuxLaw()
-        delta1 = delta / 2.0
-        naive_stats = np.empty(n_draws)
-        log_rns = np.empty(n_draws)
+        ref, f = target.reference, target.force()
+        naive_stats, log_rns = np.empty(n_draws), np.empty(n_draws)
         for i in range(n_draws):
-            q = ref.sample(rng)
-            v = ref.sample(rng)
-            naive_stats[i] = ref.cm_sq_norm(q + np.asarray(f(q), dtype=float))
-            log_rns[i] = hilbert_log_rn(
-                target, aux, delta1, delta, 1, ExtendedPoint(q, v)
-            )
-        naive_medians.append(float(np.median(naive_stats)))
-        strang_medians.append(float(np.median(np.abs(log_rns))))
-    return RefinementProbeReport(
-        dims=dims,
-        naive_shift_sq_norm=tuple(naive_medians),
-        strang_abs_log_rn=tuple(strang_medians),
-    )
+            z = ExtendedPoint(ref.sample(rng), ref.sample(rng))
+            naive_stats[i] = ref.cm_sq_norm(z.q + np.asarray(f(z.q), dtype=float))
+            log_rns[i] = hilbert_log_rn(target, AuxLaw(), delta / 2.0, delta, 1, z)
+        naive.append(float(np.median(naive_stats)))
+        strang.append(float(np.median(np.abs(log_rns))))
+    return RefinementProbeReport(dims, tuple(naive), tuple(strang))
 
 
 def validate_aux_normalization(

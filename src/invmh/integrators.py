@@ -1,9 +1,9 @@
 """Geometric integrator toolbox: elementary flows (kick, drift, rotation),
 palindromic compositions of ``(flow, t)`` stages, leapfrog and Strang
-schemes (one explicit kick-flow-kick loop whose trajectory points carry
-their forces), implicit Euler-A/B and generalized Stormer-Verlet (built
-from the two Euler steps), plus numerical Jacobian and reversibility
-checkers."""
+schemes (one explicit kick-flow-kick loop, which can hand each inner point
+to a callback as it is built), implicit Euler-A/B and generalized
+Stormer-Verlet (built from the two Euler steps), plus numerical Jacobian
+and reversibility checkers."""
 
 from __future__ import annotations
 
@@ -96,19 +96,20 @@ def _require_finite(q: np.ndarray, v: np.ndarray) -> None:
 
 
 def _kick_flow_kick(
-    n: int, delta1: float, flow, force, z: ExtendedPoint, trajectory: list | None = None
+    n: int, delta1: float, flow, force, z: ExtendedPoint, visit=None
 ) -> ExtendedPoint:
     """The point ``z_n`` after ``n`` steps ``kick(delta1) . flow . kick(delta1)``
-    from ``z``, with ``flow(q, v) -> (q, v)``; with ``trajectory``, each
-    ``z_1, ..., z_n`` is also appended to it.  The force is evaluated once
-    per position, the first read from ``z``'s memo, and so is its kick
-    ``delta1 f``: a step's closing kick and the next step's opening kick
-    share both.  Each built point's memo holds its force.
+    from ``z``, with ``flow(q, v) -> (q, v)``; with ``visit``, each inner
+    point ``z_1, ..., z_{n-1}`` is handed to ``visit(q, v, f)`` as it is
+    built, ``f`` its force, and is kept only by what ``visit`` keeps.  The
+    force is evaluated once per position, the first read from ``z``'s memo,
+    and so is its kick ``delta1 f``: a step's closing kick and the next
+    step's opening kick share both.  ``z_n``'s memo holds its force.
 
     ``z``'s arrays are never written, and every point has arrays of its
     own: the opening kick builds a new velocity, ``flow`` returns a new
     position and a new velocity (or the one it was given), and the closing
-    kick adds into that velocity in place.
+    kick adds into that velocity in place before the point is visited.
 
     Raises :class:`DivergenceError` when ``z_n`` is not finite, checked once
     per trajectory.  That is the same as checking every ``z_i``: a
@@ -116,19 +117,20 @@ def _kick_flow_kick(
     the drift ``q + delta2 f1(v)`` and the rotation by any ``(c, s)``
     (``0 * inf`` is NaN), so a trajectory that leaves the finite numbers
     never returns.  The force may then be evaluated at non-finite positions,
-    as it already is after a drift that overflows."""
+    as it already is after a drift that overflows, and ``visit`` may be
+    handed non-finite points before the error."""
     f = np.asarray(z.cached(force), dtype=float)
     impulse = delta1 * f
     q, v = z.q, z.v
-    for _ in range(n):
+    for remaining in range(n - 1, -1, -1):
         q, v = flow(q, v + impulse)
         f = np.asarray(force(q), dtype=float)
         impulse = delta1 * f
         v += impulse
-        if trajectory is not None:
-            trajectory.append(ExtendedPoint(q, v, {force: f}))
+        if remaining and visit is not None:
+            visit(q, v, f)
     _require_finite(q, v)
-    return ExtendedPoint(q, v, {force: f}) if trajectory is None else trajectory[-1]
+    return ExtendedPoint(q, v, {force: f})
 
 
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
@@ -146,8 +148,8 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
 
 
 def strang_hilbert(
-    n: int, delta1: float, delta2: float, f, z: ExtendedPoint
-) -> tuple[ExtendedPoint, list[ExtendedPoint]]:
+    n: int, delta1: float, delta2: float, f, z: ExtendedPoint, visit=None
+) -> tuple[ExtendedPoint, list[ExtendedPoint] | None]:
     """Strang splitting of the preconditioned dynamics: ``n`` repetitions of
     ``kick(-delta1) . rotation(delta2) . kick(-delta1)`` with force ``f``
     (velocity shifts ``v -> v - delta1 f(q)``), by :func:`leapfrog`'s loop.
@@ -155,15 +157,22 @@ def strang_hilbert(
 
     Returns ``(z_n, [z_0, ..., z_n])``, the endpoint and the whole-step
     trajectory, whose points after ``z_0`` carry their forces in their
-    memos; the closed-form log-RN consumes every point."""
+    memos.  With ``visit``, the inner points go to ``visit(q, v, f)`` as
+    they are built instead (see :func:`_kick_flow_kick`) and ``(z_n, None)``
+    is returned: the closed-form log-RN streams its sums over them, and no
+    trajectory is kept."""
     # require_count's rule inline (a call of it costs ten times this check
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"strang_hilbert requires an integer n >= 1, got {n!r}")
     c, s = math.cos(delta2), math.sin(delta2)
     rotation_flow = lambda q, v: _rotate(c, s, q, v)
+    if visit is not None:
+        return _kick_flow_kick(n, -delta1, rotation_flow, f, z, visit), None
     trajectory = [z]
-    return _kick_flow_kick(n, -delta1, rotation_flow, f, z, trajectory), trajectory
+    record = lambda q, v, fq: trajectory.append(ExtendedPoint(q, v, {f: fq}))
+    trajectory.append(_kick_flow_kick(n, -delta1, rotation_flow, f, z, record))
+    return trajectory[-1], trajectory
 
 
 def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:

@@ -419,6 +419,12 @@ class TestConfigErrors:
             {"name": "hmc", "delta": 0.3, "mass": [[1.0, 2.0], [2.0, 1.0]]},
             "sampler: matrix is not positive definite",
         ),
+        # A non-finite entry of a 2-d value is named on the one line.
+        "sampler, non-finite matrix": (
+            FD2,
+            {"name": "hmc", "delta": 0.3, "mass": [[1.0, 0.0], [0.0, math.nan]]},
+            "sampler: mass must be finite, got nan at index [1, 1]",
+        ),
         # A field the sampler does not read, misspelled or another's, is
         # reported before the fields it reads.
         "unknown field": (FD2, {"name": "mala", "detla": 3}, "sampler.detla: unknown field for mala"),

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmh import (
     AuxLaw,
@@ -23,12 +26,16 @@ from invmh import (
     rho_from_delta,
     rotation,
     run_chain,
+    strang_hilbert,
 )
+from invmh.core import AuxiliaryKernel, Involution, InvolutiveKernel
 from invmh.hilbert import (
     default_hilbert_target,
+    hilbert_log_rn_from_trajectory,
     quartic_bounded_phi,
     validate_aux_normalization,
 )
+from invmh.integrators import _rotate
 
 from conftest import assert_grad_consistent, point_norm
 
@@ -123,6 +130,149 @@ class TestHilbertLogRn:
         z = ExtendedPoint(np.array([-1.0, 0.0]), np.array([5.0, 0.0]))
         value = hilbert_log_rn(target, AuxLaw(), 0.1, 1.2, 1, z)
         assert value == -math.inf
+
+
+def hilbert_case(d: int, force: str, law: str) -> tuple[HilbertTarget, AuxLaw]:
+    """A target with the default force ``C grad(phi)``, a surrogate force or
+    zero force (with flat ``phi``), and the reference or a diagonal law."""
+    ref = SpectralGaussian(power_law_eigenvalues(d))
+    if force == "zero":
+        target = zero_force_target(d)
+    else:
+        surrogate = lambda q: -0.3 * np.tanh(q) * ref.eigenvalues
+        target = HilbertTarget(
+            phi=quartic_bounded_phi(d),
+            reference=ref,
+            surrogate_f=surrogate if force == "surrogate" else None,
+        )
+    lam = ref.eigenvalues
+    variances = lambda q: lam * (1.0 + 0.5 * np.tanh(q) ** 2)
+    return target, AuxLaw(variances=variances if law == "variances" else None)
+
+
+class TestStreamedLogRn:
+    # The kernels sum the log-RN's inner-point terms as the integrator builds
+    # the points; hilbert_log_rn_from_trajectory reads the recorded points.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        n=st.integers(1, 12),
+        delta1=st.floats(0.0, 1.0),
+        delta2=st.floats(-3.0, 3.0).filter(lambda x: x != 0.0),
+        force=st.sampled_from(["default", "surrogate", "zero"]),
+        law=st.sampled_from(["reference", "variances"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_the_trajectory_formula(self, d, n, delta1, delta2, force, law, seed):
+        target, aux = hilbert_case(d, force, law)
+        rng = np.random.default_rng(seed)
+        q, v = target.reference.sample(rng), target.reference.sample(rng)
+        image, value = inf_hmc(target, aux, delta1, delta2, n).involution.step(
+            ExtendedPoint(q, v, {})
+        )
+        endpoint, trajectory = strang_hilbert(
+            n, delta1, delta2, target.force(), ExtendedPoint(q, v, {})
+        )
+        want = hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
+        assert image.q.tobytes() == endpoint.q.tobytes()
+        assert image.v.tobytes() == momentum_flip(endpoint).v.tobytes()
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if force == "zero" and law == "reference":
+            assert value == 0.0
+
+    @staticmethod
+    def reference_log_rn(target, aux, delta1, trajectory):
+        """The reference log-RN for the kernels' streamed sums: every
+        Cameron-Martin term by ``cm_inner``/``cm_sq_norm`` on the recorded
+        trajectory, every force evaluated afresh."""
+        ref, f = target.reference, target.force()
+        z0, zn = trajectory[0], trajectory[-1]
+        phi0, phin = target.phi.eval(z0.q), target.phi.eval(zn.q)
+        if not (math.isfinite(phi0) and math.isfinite(phin)):
+            return -math.inf
+        f0, fn = f(z0.q), f(zn.q)
+        value = phi0 + aux.h_tilde(ref, z0) - phin - aux.h_tilde(ref, momentum_flip(zn))
+        value -= 0.5 * delta1 * delta1 * (ref.cm_sq_norm(f0) - ref.cm_sq_norm(fn))
+        inner = 0.0
+        for z in trajectory[1:-1]:
+            inner += ref.cm_inner(z.v, z.cached(f))
+        value += 2.0 * delta1 * inner
+        value += delta1 * (ref.cm_inner(z0.v, f0) + ref.cm_inner(zn.v, fn))
+        return float(value)
+
+    def reference_kernel(self, target, name):
+        """The kernel ``name`` of the chain test below on the
+        recorded-trajectory path with :meth:`reference_log_rn` (pcn by its
+        rotation, which no log-RN sum touches)."""
+        ref = target.reference
+        if name == "pcn":
+            c = rho_from_delta(1.0)
+            s = math.sin(math.acos(c))
+
+            def step(z):
+                image = ExtendedPoint(*_rotate(c, s, z.q, z.v, flip=True))
+                return image, target.phi.eval(z.q) - target.phi.eval(image.q)
+
+        else:
+            if name == "inf_hmc":
+                delta1, delta2, n = 0.15, 0.3, 10
+            else:
+                delta1, delta2, n = math.sqrt(0.6) / 2.0, math.acos(rho_from_delta(0.6)), 1
+
+            def step(z):
+                endpoint, trajectory = strang_hilbert(n, delta1, delta2, target.force(), z)
+                value = self.reference_log_rn(target, AuxLaw(), delta1, trajectory)
+                return momentum_flip(endpoint), value
+
+        return InvolutiveKernel(
+            target=target.phi,
+            aux=AuxiliaryKernel(
+                sample=lambda z, rng: ref.sample(rng), log_density_terms=lambda z: 0.0
+            ),
+            involution=Involution(step),
+            dim=target.dim,
+            name=name,
+        )
+
+    def test_chains_match_the_recorded_trajectory_path(self):
+        d = 1024
+        target = default_hilbert_target(d)
+        surrogate = HilbertTarget(target.phi, target.reference, surrogate_f=target.force())
+        kernels = {
+            "pcn": (pcn(target, delta=1.0), target),
+            "inf_mala": (inf_mala(target, delta=0.6), target),
+            "inf_hmc": (inf_hmc(target, AuxLaw(), delta1=0.15, delta2=0.3, n=10), target),
+            "gen_langevin": (gen_langevin(surrogate, delta=0.6), surrogate),
+        }
+        for seed, (name, (kernel, kernel_target)) in enumerate(kernels.items()):
+            chain = run_chain(kernel, np.zeros(d), 200, np.random.default_rng(seed))
+            reference = self.reference_kernel(kernel_target, name)
+            want = run_chain(reference, np.zeros(d), 200, np.random.default_rng(seed))
+            assert chain.acceptance_rate > 0.0, name
+            assert np.array_equal(chain.positions, want.positions), name
+            assert np.array_equal(chain.accepted, want.accepted), name
+            np.testing.assert_allclose(chain.alphas, want.alphas, rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_involution_keeps_no_trajectory(self, n):
+        # Only the endpoints and a few working vectors are alive at once, so
+        # the peak does not grow with n; a kept trajectory alone holds 3 n.
+        d = 4096
+        target = default_hilbert_target(d)
+        kernel = inf_hmc(target, AuxLaw(), delta1=0.15, delta2=0.3, n=n)
+        rng = np.random.default_rng(n)
+        points = [
+            ExtendedPoint(target.reference.sample(rng), target.reference.sample(rng), {})
+            for _ in range(2)
+        ]
+        kernel.involution.step(points[0])
+        tracemalloc.start()
+        try:
+            kernel.involution.step(points[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * d
 
 
 class TestPcn:
