@@ -165,12 +165,14 @@ class _SPD:
 
 
 def _kinetic_law(
-    draw: Callable, kinetic: Callable[[np.ndarray], float], dim: int
+    draw: Callable, kinetic: Callable[[np.ndarray], float], dim: int, gaussian_noise: bool = False
 ) -> AuxiliaryKernel:
     """The position-free law of density ``exp(-kinetic(v))``, up to a
-    constant, with draws ``draw(rng)`` of length ``dim``."""
+    constant, with draws ``draw(rng)`` of length ``dim``; ``gaussian_noise``
+    as declared by :class:`AuxiliaryKernel`."""
     return AuxiliaryKernel(
-        sample=lambda z, rng: draw(rng), log_density_terms=lambda z: -kinetic(z.v), dim=dim
+        sample=lambda z, rng: draw(rng), log_density_terms=lambda z: -kinetic(z.v), dim=dim,
+        gaussian_noise=gaussian_noise,
     )
 
 
@@ -191,7 +193,7 @@ def gaussian_momentum(dim: int, mass: np.ndarray | None = None) -> AuxiliaryKern
     require_count(dim=dim)
     require_finite(mass=mass)
     mass = _SPD(mass, dim, ConfigurationError)
-    return _kinetic_law(mass.sample, mass.half_quad, dim)
+    return _kinetic_law(mass.sample, mass.half_quad, dim, gaussian_noise=True)
 
 
 def _energy_involution(
@@ -237,6 +239,7 @@ def gaussian_jump(dim: int, scale=1.0) -> AuxiliaryKernel:
         lambda rng: scale * rng.standard_normal(dim),
         lambda v: 0.5 * float(((v / scale) ** 2).sum()),
         dim,
+        gaussian_noise=True,
     )
 
 
@@ -325,7 +328,7 @@ def hmc(
     require_finite(mass=mass)
     mass = _SPD(mass, dim, ConfigurationError)
     return surrogate_hmc(
-        target, _kinetic_law(mass.sample, mass.half_quad, dim), cfg,
+        target, _kinetic_law(mass.sample, mass.half_quad, dim, gaussian_noise=True), cfg,
         f1=mass.inv_apply, f2=_exact_force(target), dim=dim, name="hmc",
     )
 
@@ -608,7 +611,9 @@ def rmhmc(
         ops = z.cached(metric_ops)
         return -ops.half_quad(z.v) - ops.half_logdet()
 
-    aux = AuxiliaryKernel(sample=sample, log_density_terms=log_density_terms, dim=dim)
+    aux = AuxiliaryKernel(
+        sample=sample, log_density_terms=log_density_terms, dim=dim, gaussian_noise=True
+    )
     involution = _energy_involution(target, aux, integrator)
     return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name="rmhmc")
 

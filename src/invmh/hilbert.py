@@ -80,19 +80,34 @@ class HilbertTarget:
     def _force(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.surrogate_f is not None:
             return self.surrogate_f
+        pair = self._force_and_dual
+        return lambda q: pair(q)[0]
+
+    @functools.cached_property
+    def _force_and_dual(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """``q -> (f(q), g(q))``: the force and its Cameron-Martin dual
+        ``g = f / lambda`` (``<v, f(q)>_CM = v @ g(q)``), and the memo key
+        under which the Strang kernels keep both.  For the default force
+        ``f = C grad(phi)`` the dual is ``grad(phi)`` itself, from the same
+        call; a surrogate force is divided by the eigenvalues."""
+        ref = self.reference
+        if self.surrogate_f is not None:
+            f, lam = self.surrogate_f, ref.eigenvalues
+
+            def force_and_dual(q):
+                fq = np.asarray(f(q), dtype=float)
+                return fq, fq / lam
+
+            return force_and_dual
         if self.phi.grad is None:
             raise ConfigurationError("target provides neither surrogate_f nor a gradient")
         grad = self.phi.grad
-        ref = self.reference
-        return lambda q: ref.frac_power(1.0, np.asarray(grad(q), dtype=float))
 
-    @functools.cached_property
-    def _force_dual(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``g: q -> f(q) / lambda``, the force's Cameron-Martin dual
-        (``<v, f(q)>_CM = v @ g(q)``), and the memo key under which the
-        log-RN keeps that vector next to the force."""
-        f, lam = self.force(), self.reference.eigenvalues
-        return lambda q: np.asarray(f(q), dtype=float) / lam
+        def grad_force_and_dual(q):
+            g = np.asarray(grad(q), dtype=float)
+            return ref.frac_power(1.0, g), g
+
+        return grad_force_and_dual
 
 
 @dataclass(frozen=True)
@@ -129,18 +144,6 @@ class AuxLaw:
         return float(np.sum(0.5 * z.v**2 * (1.0 / k - 1.0 / lam) + 0.5 * np.log(k / lam)))
 
 
-def _force_and_dual(target: HilbertTarget, z: ExtendedPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The force ``f`` at ``z`` and its Cameron-Martin dual ``f / lambda``,
-    both kept in ``z``'s memo: a chain's next step starts at this step's
-    first or last point, so the dual there is computed once."""
-    fz = np.asarray(z.cached(target.force()), dtype=float)
-    memo = {} if z.memo is None else z.memo
-    key = target._force_dual
-    if key not in memo:
-        memo[key] = fz / target.reference.eigenvalues
-    return fz, memo[key]
-
-
 def _log_rn(target: HilbertTarget, aux: AuxLaw, delta1: float, z0, zn, inner: float) -> float:
     """Closed-form log Radon-Nikodym derivative of ``flip . strang`` from
     ``z0`` to ``zn``, given ``inner``, the sum of ``<v_i, f(q_i)>_CM`` over
@@ -149,15 +152,17 @@ def _log_rn(target: HilbertTarget, aux: AuxLaw, delta1: float, z0, zn, inner: fl
     The value is
     ``phi(q_0) + H~(q_0, v_0) - phi(q_n) - H~(q_n, -v_n)`` plus the
     Cameron-Martin terms of the ``n`` velocity shifts; a non-finite ``phi``
-    yields ``-inf`` (reject).  ``phi``, the force, its dual and the
-    auxiliary variances are read through the endpoints' memos."""
+    yields ``-inf`` (reject).  ``phi``, the force and its dual (one memo
+    entry, see ``HilbertTarget._force_and_dual``) and the auxiliary
+    variances are read through the endpoints' memos."""
     phi0 = z0.cached(target.phi.eval)
     phin = zn.cached(target.phi.eval)
     if not (math.isfinite(phi0) and math.isfinite(phin)):
         return -math.inf
     ref = target.reference
     value = phi0 + aux.h_tilde(ref, z0) - phin - aux.h_tilde(ref, momentum_flip(zn))
-    (f0, g0), (fn, gn) = _force_and_dual(target, z0), _force_and_dual(target, zn)
+    force_and_dual = target._force_and_dual
+    (f0, g0), (fn, gn) = z0.cached(force_and_dual), zn.cached(force_and_dual)
     value -= 0.5 * delta1 * delta1 * float(f0 @ g0 - fn @ gn)
     value += 2.0 * delta1 * inner
     value += delta1 * float(z0.v @ g0 + zn.v @ gn)
@@ -174,11 +179,13 @@ def hilbert_log_rn_from_trajectory(
 ) -> float:
     """Closed-form log Radon-Nikodym derivative of ``flip . strang`` from a
     recorded trajectory ``[z_0, ..., z_n]`` of whole Strang steps (see
-    :func:`_log_rn`); the inner points' forces are read through their
-    memos, where the integrator left them.  The kernels take the same sums
-    without recording the trajectory."""
-    f, lam = target.force(), target.reference.eigenvalues
-    inner = sum(float(z.v @ (z.cached(f) / lam)) for z in trajectory[1:-1])
+    :func:`_log_rn`); the inner points' forces and duals are read through
+    their memos, where ``strang_hilbert(..., target._force_and_dual, ...,
+    paired=True)`` leaves them (a trajectory recorded with the plain force
+    has them computed again).  The kernels take the same sums without
+    recording the trajectory."""
+    force_and_dual = target._force_and_dual
+    inner = sum(float(z.v @ z.cached(force_and_dual)[1]) for z in trajectory[1:-1])
     return _log_rn(target, aux, delta1, trajectory[0], trajectory[-1], inner)
 
 
@@ -190,10 +197,9 @@ def _strang_involution(
     of :func:`hilbert_log_rn_from_trajectory`): no trajectory is kept.  The
     image keeps the last point's memo, with ``phi``, the force and its dual
     there."""
-    lam = target.reference.eigenvalues
     terms = []
-    visit = lambda q, v, fq: terms.append(float(v @ (fq / lam)))
-    endpoint, _ = strang_hilbert(n, delta1, delta2, target.force(), z, visit)
+    visit = lambda q, v, fg: terms.append(float(v @ fg[1]))
+    endpoint, _ = strang_hilbert(n, delta1, delta2, target._force_and_dual, z, visit, paired=True)
     return momentum_flip(endpoint), _log_rn(target, aux, delta1, z, endpoint, sum(terms))
 
 
@@ -227,6 +233,7 @@ def _hilbert_kernel(
             sample=lambda z, rng: aux.sample(ref, z, rng),
             log_density_terms=lambda z: -aux.h_tilde(ref, z),
             dim=target.dim,
+            gaussian_noise=True,
         ),
         involution=Involution(apply_and_log_rn),
         dim=target.dim,

@@ -96,7 +96,7 @@ def _require_finite(q: np.ndarray, v: np.ndarray) -> None:
 
 
 def _kick_flow_kick(
-    n: int, delta1: float, flow, force, z: ExtendedPoint, visit=None
+    n: int, delta1: float, flow, force, z: ExtendedPoint, visit=None, paired: bool = False
 ) -> ExtendedPoint:
     """The point ``z_n`` after ``n`` steps ``kick(delta1) . flow . kick(delta1)``
     from ``z``, with ``flow(q, v) -> (q, v)``; with ``visit``, each inner
@@ -105,6 +105,9 @@ def _kick_flow_kick(
     force is evaluated once per position, the first read from ``z``'s memo,
     and so is its kick ``delta1 f``: a step's closing kick and the next
     step's opening kick share both.  ``z_n``'s memo holds its force.
+    With ``paired``, ``force(q)`` returns a tuple whose first entry is the
+    force; the kicks use that entry, and ``visit`` and the memos get the
+    whole tuple.
 
     ``z``'s arrays are never written, and every point has arrays of its
     own: the opening kick builds a new velocity, ``flow`` returns a new
@@ -119,18 +122,20 @@ def _kick_flow_kick(
     never returns.  The force may then be evaluated at non-finite positions,
     as it already is after a drift that overflows, and ``visit`` may be
     handed non-finite points before the error."""
-    f = np.asarray(z.cached(force), dtype=float)
+    value = z.cached(force)
+    f = np.asarray(value[0] if paired else value, dtype=float)
     impulse = delta1 * f
     q, v = z.q, z.v
     for remaining in range(n - 1, -1, -1):
         q, v = flow(q, v + impulse)
-        f = np.asarray(force(q), dtype=float)
+        value = force(q)
+        f = np.asarray(value[0] if paired else value, dtype=float)
         impulse = delta1 * f
         v += impulse
         if remaining and visit is not None:
-            visit(q, v, f)
+            visit(q, v, value if paired else f)
     _require_finite(q, v)
-    return ExtendedPoint(q, v, {force: f})
+    return ExtendedPoint(q, v, {force: value if paired else f})
 
 
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
@@ -148,7 +153,7 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
 
 
 def strang_hilbert(
-    n: int, delta1: float, delta2: float, f, z: ExtendedPoint, visit=None
+    n: int, delta1: float, delta2: float, f, z: ExtendedPoint, visit=None, paired: bool = False
 ) -> tuple[ExtendedPoint, list[ExtendedPoint] | None]:
     """Strang splitting of the preconditioned dynamics: ``n`` repetitions of
     ``kick(-delta1) . rotation(delta2) . kick(-delta1)`` with force ``f``
@@ -160,7 +165,8 @@ def strang_hilbert(
     memos.  With ``visit``, the inner points go to ``visit(q, v, f)`` as
     they are built instead (see :func:`_kick_flow_kick`) and ``(z_n, None)``
     is returned: the closed-form log-RN streams its sums over them, and no
-    trajectory is kept."""
+    trajectory is kept.  ``paired`` is :func:`_kick_flow_kick`'s: ``f(q)``
+    returns a tuple led by the force, such as the force and its dual."""
     # require_count's rule inline (a call of it costs ten times this check
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
@@ -168,10 +174,10 @@ def strang_hilbert(
     c, s = math.cos(delta2), math.sin(delta2)
     rotation_flow = lambda q, v: _rotate(c, s, q, v)
     if visit is not None:
-        return _kick_flow_kick(n, -delta1, rotation_flow, f, z, visit), None
+        return _kick_flow_kick(n, -delta1, rotation_flow, f, z, visit, paired), None
     trajectory = [z]
     record = lambda q, v, fq: trajectory.append(ExtendedPoint(q, v, {f: fq}))
-    trajectory.append(_kick_flow_kick(n, -delta1, rotation_flow, f, z, record))
+    trajectory.append(_kick_flow_kick(n, -delta1, rotation_flow, f, z, record, paired))
     return trajectory[-1], trajectory
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ class TestRunChain:
                 q = result.next
                 assert np.array_equal(chain.positions[k + 1], q), (entry.name, k)
                 assert chain.alphas[k] == result.alpha, (entry.name, k)
+
+    @pytest.mark.parametrize("n_steps", [3.0, True, -1, "5", None])
+    def test_rejects_a_bad_step_count_before_any_draw(self, rng, n_steps):
+        state = rng.bit_generator.state
+        message = f"n_steps must be an integer >= 0, got {n_steps!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_chain(_always_accept_kernel(), np.zeros(1), n_steps, rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_step_counts(self, rng):
+        assert len(run_chain(_always_accept_kernel(), np.zeros(1), np.int64(3), rng)) == 4
 
     def test_rejects_zero_density_start(self, rng):
         target = TargetPotential(eval=lambda q: math.inf)
