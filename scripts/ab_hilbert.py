@@ -19,6 +19,12 @@ Two series are run: ``--pairs`` pairs with one BLAS thread (as
 BLAS library's default threading.  The output JSON holds, per series, both
 sides' medians and quartiles, the pairs the working tree won, the repeat
 count and every run, with the machine's CPU count.
+
+When the two sides' digests differ, each side runs its chains once more,
+untimed, and saves them; the JSON then holds, per kernel, the share of
+steps whose accept flags agree, and the largest relative difference between
+the sides' positions (``max |a - b| / max |b|`` over the coordinates of a
+state, the largest over all states) and alphas.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_side(src: str, rounds: int, steps: int, seed: int) -> dict:
+def run_side(src: str, rounds: int, steps: int, seed: int, save: Path | None = None) -> dict:
     """One side's chains, in this process: ``src`` must come first on the
-    path before invmh is imported."""
+    path before invmh is imported.  With ``save``, every round of every
+    kernel's chain is written there as ``<kernel>_<round>.npz``."""
     sys.path.insert(0, src)
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_ab_workloads", path)
@@ -60,7 +67,7 @@ def run_side(src: str, rounds: int, steps: int, seed: int) -> dict:
     rngs = {name: workloads._rng(seed, 0, i) for i, name in enumerate(kernels)}
     seconds = dict.fromkeys(kernels, 0.0)
     digest = hashlib.sha256()
-    for _ in range(rounds):
+    for round_ in range(rounds):
         for name, kernel in kernels.items():
             start = time.perf_counter()
             result = invmh.run_chain(kernel, states[name], steps, rngs[name])
@@ -68,6 +75,13 @@ def run_side(src: str, rounds: int, steps: int, seed: int) -> dict:
             states[name] = result.positions[-1].copy()
             digest.update(result.positions.tobytes())
             digest.update(result.accepted.tobytes())
+            if save is not None:
+                np.savez(
+                    save / f"{name}_{round_}.npz",
+                    positions=result.positions[1:],
+                    alphas=result.alphas,
+                    accepted=result.accepted,
+                )
     for rng in rngs.values():
         digest.update(repr(rng.bit_generator.state).encode())
     n = rounds * steps
@@ -87,12 +101,14 @@ def extract_src(ref: str, into: Path) -> Path:
     return into / "src"
 
 
-def spawn_side(src: Path, args, blas: str) -> dict:
+def spawn_side(src: Path, args, blas: str, save: Path | None = None) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES and k != "PYTHONPATH"}
     if blas != "default":
         env.update(dict.fromkeys(BLAS_VARIABLES, blas))
     command = [sys.executable, __file__, "--side", str(src), "--rounds", str(args.rounds)]
     command += ["--steps", str(args.steps), "--seed", str(args.seed)]
+    if save is not None:
+        command += ["--out", str(save)]
     out = subprocess.run(command, env=env, cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -102,6 +118,35 @@ def quartiles(values: list[float]) -> dict:
 
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def compare_sides(sides: dict[str, Path], args, scratch: Path) -> dict:
+    """Per kernel: the share of steps whose accept flags agree and the
+    largest relative position and alpha differences between the sides'
+    chains, saved by an untimed run of each side with one BLAS thread."""
+    for side, src in sides.items():
+        (scratch / side).mkdir()
+        spawn_side(src, args, "1", scratch / side)
+    import numpy as np
+
+    report = {}
+    for path in sorted((scratch / "base").glob("*.npz")):
+        base, working = np.load(path), np.load(scratch / "working" / path.name)
+        a, b = working["positions"], base["positions"]
+        alpha_scale = np.maximum(np.abs(base["alphas"]), np.finfo(float).tiny)
+        kernel = report.setdefault(
+            path.stem.rsplit("_", 1)[0],
+            {"steps": 0, "agreeing": 0, "max_rel_position_diff": 0.0, "max_rel_alpha_diff": 0.0},
+        )
+        kernel["steps"] += len(b)
+        kernel["agreeing"] += int(np.sum(working["accepted"] == base["accepted"]))
+        position = float((np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)).max())
+        alpha = float((np.abs(working["alphas"] - base["alphas"]) / alpha_scale).max())
+        kernel["max_rel_position_diff"] = max(kernel["max_rel_position_diff"], position)
+        kernel["max_rel_alpha_diff"] = max(kernel["max_rel_alpha_diff"], alpha)
+    for kernel in report.values():
+        kernel["accept_agreement"] = kernel.pop("agreeing") / kernel["steps"]
+    return report
 
 
 def run_series(sides: dict[str, Path], args, blas: str, pairs: int) -> dict:
@@ -141,11 +186,13 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default="BENCH_stream.json")
+    # With --side, --out is the directory where that side saves its chains.
+    parser.add_argument("--out", help="output JSON (default BENCH_stream.json)")
     parser.add_argument("--side", help=argparse.SUPPRESS)  # internal: run one side
     args = parser.parse_args(argv)
     if args.side:
-        print(json.dumps(run_side(args.side, args.rounds, args.steps, args.seed)))
+        save = None if args.out is None else Path(args.out)
+        print(json.dumps(run_side(args.side, args.rounds, args.steps, args.seed, save)))
         return 0
 
     base_commit = subprocess.run(
@@ -156,6 +203,9 @@ def main(argv=None) -> int:
         series = [run_series(sides, args, "1", args.pairs)]
         if args.default_blas_pairs:
             series.append(run_series(sides, args, "default", args.default_blas_pairs))
+        differences = None
+        if not all(s["digests_equal"] for s in series):
+            differences = compare_sides(sides, args, Path(scratch))
     report = {
         "what": "steps/s of run_chain over the hilbert_d16384 kernels"
         " (pcn, inf_mala, inf_hmc, gen_langevin)",
@@ -170,7 +220,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "series": series,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    if differences is not None:
+        report["chain_differences"] = differences
+    Path(args.out or "BENCH_stream.json").write_text(json.dumps(report, indent=2) + "\n")
     for s in series:
         base, working = s["base"], s["working"]
         print(
@@ -178,6 +230,13 @@ def main(argv=None) -> int:
             f" base {base['median']:.1f} [{base['q1']:.1f}, {base['q3']:.1f}]"
             f"  working {working['median']:.1f} [{working['q1']:.1f}, {working['q3']:.1f}]"
             f"  won {s['working_won']}/{s['pairs']}  digests equal: {s['digests_equal']}"
+        )
+    for name, diff in (differences or {}).items():
+        print(
+            f"{name}: accept flags agree on {diff['accept_agreement']:.4f}"
+            f" of {diff['steps']} steps,"
+            f" positions within {diff['max_rel_position_diff']:.2e},"
+            f" alphas within {diff['max_rel_alpha_diff']:.2e} (relative)"
         )
     return 0
 

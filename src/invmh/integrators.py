@@ -1,9 +1,9 @@
 """Geometric integrator toolbox: elementary flows (kick, drift, rotation),
-palindromic compositions of ``(flow, t)`` stages, leapfrog and Strang
-schemes (one explicit kick-flow-kick loop, which can hand each inner point
-to a callback as it is built), implicit Euler-A/B and generalized
-Stormer-Verlet (built from the two Euler steps), plus numerical Jacobian
-and reversibility checkers."""
+palindromic compositions of ``(flow, t)`` stages, the leapfrog and Strang
+schemes (Strang's kick and rotation one matrix product per step, its
+points handed to a callback as they are built), implicit Euler-A/B and
+generalized Stormer-Verlet (built from the two Euler steps), plus numerical
+Jacobian and reversibility checkers."""
 
 from __future__ import annotations
 
@@ -95,90 +95,118 @@ def _require_finite(q: np.ndarray, v: np.ndarray) -> None:
         raise DivergenceError("non-finite state encountered during integration")
 
 
-def _kick_flow_kick(
-    n: int, delta1: float, flow, force, z: ExtendedPoint, visit=None, paired: bool = False
-) -> ExtendedPoint:
-    """The point ``z_n`` after ``n`` steps ``kick(delta1) . flow . kick(delta1)``
-    from ``z``, with ``flow(q, v) -> (q, v)``; with ``visit``, each inner
-    point ``z_1, ..., z_{n-1}`` is handed to ``visit(q, v, f)`` as it is
-    built, ``f`` its force, and is kept only by what ``visit`` keeps.  The
-    force is evaluated once per position, the first read from ``z``'s memo,
-    and so is its kick ``delta1 f``: a step's closing kick and the next
-    step's opening kick share both.  ``z_n``'s memo holds its force.
-    With ``paired``, ``force(q)`` returns a tuple whose first entry is the
-    force; the kicks use that entry, and ``visit`` and the memos get the
-    whole tuple.
+def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
+    """``n`` repetitions of the kick-drift-kick step with time steps
+    ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
+    ``f1(v)``).
 
-    ``z``'s arrays are never written, and every point has arrays of its
-    own: the opening kick builds a new velocity, ``flow`` returns a new
-    position and a new velocity (or the one it was given), and the closing
-    kick adds into that velocity in place before the point is visited.
+    The force is evaluated once per position, the first read from ``z``'s
+    memo, and so is its kick ``delta1 f``: a step's closing kick and the
+    next step's opening kick share both.  The endpoint's memo holds its
+    force.  ``z``'s arrays are never written: the opening kick builds a new
+    velocity, and the closing kick adds into it in place.
 
-    Raises :class:`DivergenceError` when ``z_n`` is not finite, checked once
-    per trajectory.  That is the same as checking every ``z_i``: a
+    Raises :class:`DivergenceError` when the endpoint is not finite, checked
+    once per trajectory.  That is the same as checking every point: a
     non-finite coordinate stays non-finite under the kick ``v + delta1 f``,
     the drift ``q + delta2 f1(v)`` and the rotation by any ``(c, s)``
     (``0 * inf`` is NaN), so a trajectory that leaves the finite numbers
     never returns.  The force may then be evaluated at non-finite positions,
-    as it already is after a drift that overflows, and ``visit`` may be
-    handed non-finite points before the error."""
-    value = z.cached(force)
-    f = np.asarray(value[0] if paired else value, dtype=float)
-    impulse = delta1 * f
-    q, v = z.q, z.v
-    for remaining in range(n - 1, -1, -1):
-        q, v = flow(q, v + impulse)
-        value = force(q)
-        f = np.asarray(value[0] if paired else value, dtype=float)
-        impulse = delta1 * f
-        v += impulse
-        if remaining and visit is not None:
-            visit(q, v, value if paired else f)
-    _require_finite(q, v)
-    return ExtendedPoint(q, v, {force: value if paired else f})
-
-
-def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
-    """``n`` repetitions of the kick-drift-kick step with time steps
-    ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
-    ``f1(v)``).  Raises :class:`DivergenceError` on a non-finite endpoint
-    (see :func:`_kick_flow_kick`); the force is evaluated once per
-    position, and the endpoint's memo holds it."""
+    as it already is after a drift that overflows."""
     # require_count's rule inline (a call of it costs ten times this check
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"leapfrog requires an integer n >= 1, got {n!r}")
-    drift_flow = lambda q, v: (q + delta2 * np.asarray(f1(v), dtype=float), v)
-    return _kick_flow_kick(n, delta1, drift_flow, f2, z)
+    f = np.asarray(z.cached(f2), dtype=float)
+    impulse = delta1 * f
+    q, v = z.q, z.v
+    for _ in range(n):
+        v = v + impulse
+        q = q + delta2 * np.asarray(f1(v), dtype=float)
+        f = np.asarray(f2(q), dtype=float)
+        impulse = delta1 * f
+        v += impulse
+    _require_finite(q, v)
+    return ExtendedPoint(q, v, {f2: f})
 
 
 def strang_hilbert(
-    n: int, delta1: float, delta2: float, f, z: ExtendedPoint, visit=None, paired: bool = False
+    n: int, delta1, delta2: float, f, z: ExtendedPoint, visit=None, paired: bool = False
 ) -> tuple[ExtendedPoint, list[ExtendedPoint] | None]:
     """Strang splitting of the preconditioned dynamics: ``n`` repetitions of
     ``kick(-delta1) . rotation(delta2) . kick(-delta1)`` with force ``f``
-    (velocity shifts ``v -> v - delta1 f(q)``), by :func:`leapfrog`'s loop.
-    Raises :class:`DivergenceError` on a non-finite endpoint.
+    (velocity shifts ``v -> v - delta1 f(q)``).  ``delta1`` is a number or
+    an array of per-coordinate steps.
+
+    Each point is one C-contiguous ``(3, d)`` buffer, fresh per step, with
+    rows ``q``, ``v`` and the kick ``delta1 f(q)``.  One matrix product
+    ``[[c, s, -s], [-s, c, -c]] @ point`` makes the next step's opening kick
+    and its rotation, the force at the new position writes the next kick
+    into the new buffer's last row, and the closing kick subtracts that row
+    from the velocity row.  The force is evaluated once per position, the
+    first read from ``z``'s memo; a step's closing kick and the next step's
+    opening kick share it.  ``z``'s arrays are never written.  The product
+    is the BLAS's ``dgemm``, whose fused multiply-adds round differently
+    from separate products and sums: the endpoint stays within 1e-13
+    relative of the plain kick, rotation and kick (about 1e-14 was measured
+    at up to 12 steps).
 
     Returns ``(z_n, [z_0, ..., z_n])``, the endpoint and the whole-step
     trajectory, whose points after ``z_0`` carry their forces in their
-    memos.  With ``visit``, the inner points go to ``visit(q, v, f)`` as
-    they are built instead (see :func:`_kick_flow_kick`) and ``(z_n, None)``
-    is returned: the closed-form log-RN streams its sums over them, and no
-    trajectory is kept.  ``paired`` is :func:`_kick_flow_kick`'s: ``f(q)``
-    returns a tuple led by the force, such as the force and its dual."""
+    memos.  With ``visit``, the Hilbert kernels' mode, every point goes to
+    ``visit(q, v, f, kick)`` as it is built instead, ``kick`` the row
+    ``delta1 f(q)``, and ``(R z_n, None)`` is returned, the image
+    ``R z_n = (q_n, -v_n)`` of the involution ``R . strang``; the last point
+    is visited as that image.  The closed-form log-RN streams its sums over
+    the points, and no trajectory is kept.  The last product's second row
+    and the last kick change sign, which negates ``v_n`` exactly, so no
+    flipped copy is made.  With ``paired``, ``f(q)`` returns a pair
+    ``(f, g)``, such as a force and its dual ``g = f / lambda``; the kicks
+    are ``delta1 * f`` or, where ``f`` is None, ``delta1 * g``, so that
+    ``delta1 = d1 * lambda`` kicks by ``d1 f`` without forming ``f``.
+    ``visit`` and the memos get the pair.
+
+    Raises :class:`DivergenceError` when ``z_n`` is not finite, checked once
+    per trajectory (see :func:`leapfrog`): the matrix product carries a
+    non-finite ``q``, ``v`` or kick into the next point's ``q`` or ``v``,
+    because ``c`` and ``s`` are never both zero.  ``visit`` may be handed
+    non-finite points before the error."""
     # require_count's rule inline (a call of it costs ten times this check
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"strang_hilbert requires an integer n >= 1, got {n!r}")
     c, s = math.cos(delta2), math.sin(delta2)
-    rotation_flow = lambda q, v: _rotate(c, s, q, v)
-    if visit is not None:
-        return _kick_flow_kick(n, -delta1, rotation_flow, f, z, visit, paired), None
-    trajectory = [z]
-    record = lambda q, v, fq: trajectory.append(ExtendedPoint(q, v, {f: fq}))
-    trajectory.append(_kick_flow_kick(n, -delta1, rotation_flow, f, z, record, paired))
-    return trajectory[-1], trajectory
+    product = np.array([[c, s, -s], [-s, c, -c]])
+
+    def kick(value):  # the array that delta1 scales into a kick
+        if not paired:
+            return value
+        return value[1] if value[0] is None else value[0]
+
+    value = z.cached(f)
+    value = value if paired else np.asarray(value, dtype=float)
+    point = np.empty((3,) + np.shape(z.q))
+    point[0], point[1] = z.q, z.v
+    np.multiply(delta1, kick(value), out=point[2])
+    trajectory = None if visit else [z]
+    if visit:
+        visit(z.q, z.v, value, point[2])
+    for remaining in range(n - 1, -1, -1):
+        flipped = trajectory is None and not remaining
+        if flipped:
+            product[1] *= -1.0
+        start, point = point, np.empty_like(point)
+        np.matmul(product, start, out=point[:2])
+        value = f(point[0]) if paired else np.asarray(f(point[0]), dtype=float)
+        np.multiply(delta1, kick(value), out=point[2])
+        (np.add if flipped else np.subtract)(point[1], point[2], out=point[1])
+        if visit:
+            visit(point[0], point[1], value, point[2])
+        elif remaining:
+            trajectory.append(ExtendedPoint(point[0], point[1], {f: value}))
+    _require_finite(point[0], point[1])
+    end = ExtendedPoint(point[0], point[1], {f: value})
+    return end, None if trajectory is None else trajectory + [end]
 
 
 def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:

@@ -30,6 +30,7 @@ from invmh import (
 )
 from invmh.core import AuxiliaryKernel, Involution, InvolutiveKernel
 from invmh.hilbert import (
+    _kick_steps,
     default_hilbert_target,
     hilbert_log_rn_from_trajectory,
     quartic_bounded_phi,
@@ -150,6 +151,30 @@ def hilbert_case(d: int, force: str, law: str) -> tuple[HilbertTarget, AuxLaw]:
     return target, AuxLaw(variances=variances if law == "variances" else None)
 
 
+def kernel_strang(target, n, delta1, delta2, z):
+    """``strang_hilbert``'s recorded path with the kernels' arguments: kick
+    steps ``delta1 * lambda`` on the default force's dual."""
+    steps = _kick_steps(target, delta1)
+    return strang_hilbert(n, steps, delta2, target._force_and_dual, z, paired=True)
+
+
+def plain_strang(n, delta1, delta2, f, z):
+    """The Strang trajectory by separate ufuncs: the kick ``v - delta1 f``,
+    the rotation ``(c q + s v, -s q + c v)`` and the kick again, each with
+    the plain force, every product and sum rounded on its own."""
+    c, s = math.cos(delta2), math.sin(delta2)
+    fq = np.asarray(f(z.q), dtype=float)
+    q, v = z.q, z.v
+    trajectory = [z]
+    for _ in range(n):
+        v = v + (-delta1) * fq
+        q, v = c * q + s * v, -s * q + c * v
+        fq = np.asarray(f(q), dtype=float)
+        v = v + (-delta1) * fq
+        trajectory.append(ExtendedPoint(q, v, {f: fq}))
+    return trajectory
+
+
 class TestStreamedLogRn:
     # The kernels sum the log-RN's inner-point terms as the integrator builds
     # the points; hilbert_log_rn_from_trajectory reads the recorded points.
@@ -170,9 +195,7 @@ class TestStreamedLogRn:
         image, value = inf_hmc(target, aux, delta1, delta2, n).involution.step(
             ExtendedPoint(q, v, {})
         )
-        endpoint, trajectory = strang_hilbert(
-            n, delta1, delta2, target.force(), ExtendedPoint(q, v, {})
-        )
+        endpoint, trajectory = kernel_strang(target, n, delta1, delta2, ExtendedPoint(q, v, {}))
         want = hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
         assert image.q.tobytes() == endpoint.q.tobytes()
         assert image.v.tobytes() == momentum_flip(endpoint).v.tobytes()
@@ -203,7 +226,10 @@ class TestStreamedLogRn:
     def reference_kernel(self, target, name):
         """The kernel ``name`` of the chain test below on the
         recorded-trajectory path with :meth:`reference_log_rn` (pcn by its
-        rotation, which no log-RN sum touches)."""
+        rotation, which no log-RN sum touches).  The trajectory is the
+        kernels' own (:func:`kernel_strang`), so positions agree bit for
+        bit; :class:`TestFusedStrang` bounds its distance from the plain
+        arithmetic."""
         ref = target.reference
         if name == "pcn":
             c = rho_from_delta(1.0)
@@ -220,7 +246,7 @@ class TestStreamedLogRn:
                 delta1, delta2, n = math.sqrt(0.6) / 2.0, math.acos(rho_from_delta(0.6)), 1
 
             def step(z):
-                endpoint, trajectory = strang_hilbert(n, delta1, delta2, target.force(), z)
+                endpoint, trajectory = kernel_strang(target, n, delta1, delta2, z)
                 value = self.reference_log_rn(target, AuxLaw(), delta1, trajectory)
                 return momentum_flip(endpoint), value
 
@@ -253,6 +279,20 @@ class TestStreamedLogRn:
             assert np.array_equal(chain.accepted, want.accepted), name
             np.testing.assert_allclose(chain.alphas, want.alphas, rtol=1e-12, err_msg=name)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        law=st.sampled_from(["reference", "variances"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_h_tilde_reads_the_velocity_squared(self, d, law, seed):
+        # The log-RN takes H~ at the unflipped endpoint: (-v)**2 == v**2.
+        target, aux = hilbert_case(d, "default", law)
+        rng = np.random.default_rng(seed)
+        z = ExtendedPoint(target.reference.sample(rng), target.reference.sample(rng), {})
+        ref = target.reference
+        assert aux.h_tilde(ref, z) == aux.h_tilde(ref, momentum_flip(z))
+
     @pytest.mark.parametrize("n", [10, 20])
     def test_involution_keeps_no_trajectory(self, n):
         # Only the endpoints and a few working vectors are alive at once, so
@@ -273,6 +313,38 @@ class TestStreamedLogRn:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 8 * d
+
+
+class TestFusedStrang:
+    # The kernels' one matrix product per step and their kicks on the dual
+    # round differently from separate kicks and rotations with the plain
+    # force: the endpoint and the log-RN must stay within stated bounds.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        n=st.integers(1, 12),
+        delta1=st.floats(0.0, 1.0),
+        delta2=st.floats(-3.0, 3.0).filter(lambda x: x != 0.0),
+        force=st.sampled_from(["default", "surrogate", "zero"]),
+        law=st.sampled_from(["reference", "variances"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_plain_kick_rotation_kick(self, d, n, delta1, delta2, force, law, seed):
+        target, aux = hilbert_case(d, force, law)
+        rng = np.random.default_rng(seed)
+        q, v = target.reference.sample(rng), target.reference.sample(rng)
+        image, value = inf_hmc(target, aux, delta1, delta2, n).involution.step(
+            ExtendedPoint(q, v, {})
+        )
+        trajectory = plain_strang(n, delta1, delta2, target.force(), ExtendedPoint(q, v, {}))
+        end = trajectory[-1]
+        scale = max(np.abs(end.q).max(), np.abs(end.v).max())
+        assert np.abs(image.q - end.q).max() <= 1e-13 * scale
+        assert np.abs(image.v + end.v).max() <= 1e-13 * scale
+        want = hilbert_log_rn_from_trajectory(target, aux, delta1, trajectory)
+        phi = target.phi.eval
+        size = max(1.0, abs(want), abs(phi(q)), abs(phi(end.q)))
+        assert abs(value - want) <= 1e-12 * size
 
 
 class TestPcn:

@@ -196,10 +196,22 @@ def reference_leapfrog(n, delta1, delta2, f1, f2, z):
 
 
 def reference_strang(n, delta1, delta2, f, z):
+    """The Strang loop's reference: every step makes the library's matrix
+    product on a freshly stacked ``(q, v, kick)`` array, allocates its
+    results and checks them for finiteness."""
     c, s = math.cos(delta2), math.sin(delta2)
-    rotation_flow = lambda q, v: (c * q + s * v, -s * q + c * v)
+    product = np.array([[c, s, -s], [-s, c, -c]])
+    fq = np.asarray(z.cached(f), dtype=float)
+    q, v = z.q, z.v
     trajectory = [z]
-    return reference_kick_flow_kick(n, -delta1, rotation_flow, f, z, trajectory), trajectory
+    for _ in range(n):
+        q, v = product @ np.array([q, v, delta1 * fq])
+        fq = np.asarray(f(q), dtype=float)
+        v = v - delta1 * fq
+        if not (np.isfinite(q).all() and np.isfinite(v).all()):
+            raise DivergenceError("non-finite state encountered during integration")
+        trajectory.append(ExtendedPoint(q, v, {f: fq}))
+    return trajectory[-1], trajectory
 
 
 def outcome(integrate):
@@ -216,8 +228,8 @@ def same_bytes(a: ExtendedPoint, b: ExtendedPoint) -> bool:
 
 
 class TestKickFlowKickLoop:
-    # The in-place loop with one finiteness check per trajectory against the
-    # allocating loop that checked every step.
+    # The in-place loops with one finiteness check per trajectory against
+    # allocating loops that check every step.
     @staticmethod
     def force(q):
         return -np.tanh(q) - 0.3 * q - 1e-3 * q**3
@@ -258,6 +270,9 @@ class TestKickFlowKickLoop:
             for a, b in zip(got[1][1:], want[1][1:]):
                 assert same_bytes(a, b)
                 assert a.memo[force].tobytes() == b.memo[force].tobytes()
+            # The streamed mode returns the flipped endpoint, negated exactly.
+            image, _ = strang_hilbert(n, delta1, delta2, force, z, lambda q, v, f, kick: None)
+            assert same_bytes(image, momentum_flip(want[0]))
 
     @pytest.mark.parametrize("integrator", ["leapfrog", "strang_hilbert"])
     def test_infinite_force_at_a_middle_step_raises(self, integrator):
