@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -58,6 +59,14 @@ def require_finite(**parameters) -> None:
             at = f" at index {index}" if index else ""
             got = float(array[tuple(index)])
             raise ConfigurationError(f"{name} must be finite, got {got!r}{at}")
+
+
+def _finite(array) -> bool:
+    """Whether every entry of ``array`` is finite: the least entry of its
+    mask, read at ``argmin`` (at d = 2 that costs under half of
+    ``mask.all()``, a ufunc reduction behind a Python-level wrapper)."""
+    mask = np.isfinite(array)
+    return mask.item(mask.argmin())
 
 
 def require_count(minimum: int = 1, /, **parameters) -> None:
@@ -114,6 +123,13 @@ class ExtendedPoint(NamedTuple):
         if value is None:
             value = memo[fn] = fn(self.q)
         return value
+
+
+# ``ExtendedPoint(q, v, memo)`` as ``_point((q, v, memo))``: all three fields
+# in one tuple, built by ``tuple.__new__`` without the Python-level
+# ``__new__`` that NamedTuple generates (which doubles the cost).  The step
+# path builds its points this way.
+_point = functools.partial(tuple.__new__, ExtendedPoint)
 
 
 @dataclass(frozen=True)
@@ -202,8 +218,7 @@ class InvolutiveKernel:
     name: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of one Metropolis step.
 
     ``accepted`` implies ``next is proposal``; otherwise ``next`` is the
@@ -226,11 +241,7 @@ def accept_prob(log_rn: float) -> float:
     maps to 1 without overflow.
     """
     log_rn = float(log_rn)
-    if math.isnan(log_rn):
-        return 0.0
-    if log_rn >= 0.0:
-        return 1.0
-    return math.exp(log_rn)
+    return math.exp(log_rn) if log_rn < 0.0 else float(log_rn >= 0.0)
 
 
 def mh_step(
@@ -240,7 +251,8 @@ def mh_step(
 
     Consumes exactly one auxiliary draw and one uniform per call, regardless
     of the outcome, so chains are reproducible and replayable.  Integration
-    failures inside the involution are converted into rejections.
+    failures inside the involution are converted into rejections, and so is
+    a proposal with a non-finite coordinate.
 
     ``memo`` is the memo of ``q`` returned by the previous step of the same
     chain (``StepResult.memo``); passing it lets the kernel reuse the work
@@ -258,21 +270,18 @@ def _step(
         raise ConfigurationError(
             f"state has shape {q.shape}, kernel expects ({kernel.dim},)"
         )
-    v = kernel.aux.sample(ExtendedPoint(q, None, memo), rng)
-    z = ExtendedPoint(q, np.asarray(v, dtype=float), memo)
-    # Overflow inside a proposal map produces inf/nan and a rejection, not a
-    # crash.
+    v = kernel.aux.sample(_point((q, None, memo)), rng)
+    z = _point((q, np.asarray(v, dtype=float), memo))
     try:
         image, log_rn = kernel.involution.apply_and_log_rn(z)
         proposal = np.asarray(image.q, dtype=float)
-        alpha = accept_prob(log_rn)
+        # Overflow inside a proposal map produces inf/nan and a rejection,
+        # not a crash.
+        alpha = accept_prob(log_rn) if _finite(proposal) else 0.0
     except IntegrationError:
         image, proposal, alpha = z, q, 0.0
-    if not np.isfinite(proposal).all():
-        alpha = 0.0
     # The same double as rng.uniform(), without its argument handling.
-    accepted = rng.random() < alpha
-    if accepted:
+    if rng.random() < alpha:
         return StepResult(proposal, alpha, True, proposal, {} if image.memo is None else image.memo)
     return StepResult(proposal, alpha, False, q, memo)
 
@@ -435,11 +444,8 @@ def run_chain(
     memo = {kernel.target.eval: start_value}
     with _draws(kernel.aux, rng, n_steps) as draws:
         for k in range(n_steps):
-            result = mh_step(kernel, q, draws, memo)
-            q, memo = result.next, result.memo
+            _, alphas[k], accepted[k], q, memo = mh_step(kernel, q, draws, memo)
             positions[k + 1] = q
-            alphas[k] = result.alpha
-            accepted[k] = result.accepted
     return ChainResult(positions=positions, alphas=alphas, accepted=accepted)
 
 

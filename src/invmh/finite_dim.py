@@ -14,6 +14,7 @@ form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -27,6 +28,7 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    _point,
     require_count,
     require_finite,
     require_vector,
@@ -35,6 +37,7 @@ from . import integrators
 from .integrators import (
     DivergenceError,
     FixedPointError,
+    _max_abs,
     leapfrog,
     numerical_logdet_jacobian,
     palindromic_compose,
@@ -103,8 +106,10 @@ class HmcConfig:
 class _SPD:
     """A symmetric positive definite matrix ``A``, factorized once: the
     identity (``value=None``), a positive vector (diagonal) or a dense
-    matrix.  It draws from N(0, A) and gives ``A^{-1} v``, the half
-    quadratic form ``<A^{-1} v, v> / 2`` and the half log-determinant.
+    matrix.  It draws from N(0, A) (``sample(rng)``) and gives
+    ``A^{-1} v`` (``inv_apply(v)``), the half quadratic form
+    ``<A^{-1} v, v> / 2`` and the half log-determinant.  ``sample`` and
+    ``inv_apply`` are bound to the matrix's kind when it is built.
 
     ``error`` is raised when ``value`` is not SPD (a NaN diagonal entry is
     not positive) or not of dimension ``dim``: :class:`ConfigurationError`
@@ -114,53 +119,41 @@ class _SPD:
     the energy non-finite, which rejects the step."""
 
     def __init__(self, value: np.ndarray | None, dim: int, error: type[Exception]):
-        self.dim = dim
         self._half_logdet = None
         if value is None:
-            self.kind = "identity"
+            self.sample = lambda rng: rng.standard_normal(dim)
+            self.inv_apply = lambda v: v
+            self._half_logdet = 0.0
             return
         value = np.asarray(value, dtype=float)
         if value.ndim == 1:
-            if value.shape != (dim,) or not value.min() > 0:
+            # The entry at argmin is the least, or the first NaN (not > 0).
+            if value.shape != (dim,) or not value.item(value.argmin()) > 0:
                 raise error(f"diagonal matrix is not positive and of shape ({dim},)")
-            self.kind = "diagonal"
-            self.diag = value
-            self.sqrt_diag = np.sqrt(value)
+            self.diag, root = value, np.sqrt(value)
+            self.sample = lambda rng: root * rng.standard_normal(dim)
+            self.inv_apply = value.__rtruediv__  # v -> v / value
+            self._log_terms = (0.5, value)
         elif value.shape == (dim, dim):
             try:
-                self.chol = np.linalg.cholesky(value)
+                chol = np.linalg.cholesky(value)
             except np.linalg.LinAlgError as exc:
                 raise error("matrix is not positive definite") from exc
-            self.kind = "dense"
-            self.inv = np.linalg.inv(value)
+            self.sample = lambda rng: chol @ rng.standard_normal(dim)
+            self.inv_apply = np.linalg.inv(value).__matmul__  # v -> inverse @ v
+            self._log_terms = (1.0, np.diag(chol))
         else:
             raise error(f"expected a ({dim},) vector or a ({dim}, {dim}) matrix")
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        xi = rng.standard_normal(self.dim)
-        if self.kind == "identity":
-            return xi
-        if self.kind == "diagonal":
-            return self.sqrt_diag * xi
-        return self.chol @ xi
-
-    def inv_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return v
-        if self.kind == "diagonal":
-            return v / self.diag
-        return self.inv @ v
-
     def half_quad(self, v: np.ndarray) -> float:
-        return 0.5 * float(v @ self.inv_apply(v))
+        return 0.5 * float(v.dot(self.inv_apply(v)))  # v @ A^{-1} v, without matmul's dispatch
 
     def half_logdet(self) -> float:
-        """Of a diagonal or dense matrix; computed once."""
+        """Half the sum of the logs of the diagonal, or the sum of those of
+        the Cholesky factor's diagonal; computed once."""
         if self._half_logdet is None:
-            if self.kind == "diagonal":
-                self._half_logdet = 0.5 * float(np.log(self.diag).sum())
-            else:
-                self._half_logdet = float(np.log(np.diag(self.chol)).sum())
+            weight, entries = self._log_terms
+            self._half_logdet = weight * float(np.add.reduce(np.log(entries)))
         return self._half_logdet
 
 
@@ -211,13 +204,12 @@ def _energy_involution(
     there reuses what was computed at it.
     """
 
-    def hamiltonian(z: ExtendedPoint) -> float:
-        return z.cached(target.eval) - aux.log_density_terms(z)
+    potential, terms = target.eval, aux.log_density_terms
 
     def flip_and_energy(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         end = integrator(z)
-        image = ExtendedPoint(end.q, -end.v, {} if end.memo is None else end.memo)
-        value = hamiltonian(z) - hamiltonian(image)
+        image = _point((end.q, -end.v, {} if end.memo is None else end.memo))
+        value = (z.cached(potential) - terms(z)) - (image.cached(potential) - terms(image))
         if logdet is not None:
             value += logdet(z)
         return image, value
@@ -237,7 +229,7 @@ def gaussian_jump(dim: int, scale=1.0) -> AuxiliaryKernel:
         raise ConfigurationError("jump scale must be positive")
     return _kinetic_law(
         lambda rng: scale * rng.standard_normal(dim),
-        lambda v: 0.5 * float(((v / scale) ** 2).sum()),
+        lambda v: 0.5 * float(np.add.reduce((v / scale) ** 2)),
         dim,
         gaussian_noise=True,
     )
@@ -266,7 +258,7 @@ def rwmc(
         raise ConfigurationError("pass either a jump law or a scale, not both")
     else:
         _check_aux_dim(jump, dim)
-    involution = _energy_involution(target, jump, lambda z: ExtendedPoint(z.q + z.v, z.v))
+    involution = _energy_involution(target, jump, lambda z: _point((z.q + z.v, z.v, None)))
     return InvolutiveKernel(target=target, aux=jump, involution=involution, dim=dim, name="rwmc")
 
 
@@ -339,7 +331,7 @@ def hmc(
 
 def relativistic_kinetic(m: float, c: float, v: np.ndarray) -> float:
     """``m c^2 sqrt(|v|^2 / (m^2 c^2) + 1)``; equals ``m c^2`` at rest."""
-    r2 = float((np.asarray(v) ** 2).sum())
+    r2 = float(np.add.reduce(np.asarray(v) ** 2))
     return m * c * c * math.sqrt(r2 / (m * m * c * c) + 1.0)
 
 
@@ -347,7 +339,7 @@ def relativistic_kinetic_grad(m: float, c: float, v: np.ndarray) -> np.ndarray:
     """Gradient of the relativistic kinetic energy, an odd function of ``v``
     approaching ``v / m`` in the ``c -> inf`` limit."""
     v = np.asarray(v, dtype=float)
-    r2 = float((v**2).sum())
+    r2 = float(np.add.reduce(v**2))
     return v / (m * math.sqrt(r2 / (m * m * c * c) + 1.0))
 
 
@@ -404,11 +396,10 @@ def relativistic_hmc(
     if m <= 0 or c <= 0:
         raise ConfigurationError("relativistic parameters m, c must be positive")
     require_count(dim=dim)
-    aux = _kinetic_law(
-        _relativistic_momentum_sampler(dim, m, c), lambda v: relativistic_kinetic(m, c, v), dim
-    )
+    kinetic = functools.partial(relativistic_kinetic, m, c)
+    aux = _kinetic_law(_relativistic_momentum_sampler(dim, m, c), kinetic, dim)
     return surrogate_hmc(
-        target, aux, cfg, f1=lambda v: relativistic_kinetic_grad(m, c, v),
+        target, aux, cfg, f1=functools.partial(relativistic_kinetic_grad, m, c),
         f2=_exact_force(target), dim=dim, name="relativistic_hmc",
     )
 
@@ -531,16 +522,18 @@ def rmhmc(
         )
 
     def f1(z: ExtendedPoint) -> np.ndarray:
-        # Mostly evaluated at the iterates of Euler-A's solve, each new.
-        return metric_ops(z.q).inv_apply(z.v)
+        # Mostly evaluated at the iterates of Euler-A's solve, each new and
+        # without a memo; the Euler-B point reads the state's factorization.
+        return z.cached(metric_ops).inv_apply(z.v)
 
     def f2(z: ExtendedPoint) -> np.ndarray:
         return -(z.cached(static_force) + np.asarray(metric.grad_quad_form(z.q, z.v), dtype=float))
 
-    hooks = {}
+    hooks = {"reverse_tol": integrators.REVERSE_TOL}
     if _is_elementwise(metric, dim):
         ones = np.ones(dim)
         probe = 1.5 + _spread(dim, 0.25)
+        probe_sq = probe * probe
 
         def quad_diag(q: np.ndarray) -> np.ndarray:
             """``D(q)`` with ``grad_quad_form(q, v) = D(q) * v**2`` when the
@@ -552,9 +545,9 @@ def rmhmc(
             """``D(q)`` if ``grad_quad_form(q, .)`` is ``D(q) * v**2`` along a
             fixed direction with distinct entries, else False."""
             d = quad_diag(q)
-            expected = d * (probe * probe)
+            expected = d * probe_sq
             along = np.asarray(metric.grad_quad_form(q, probe), dtype=float)
-            return d if np.abs(along - expected).max() <= 1e-9 * np.abs(expected).max() else False
+            return d if _max_abs(along - expected) <= 1e-9 * _max_abs(expected) else False
 
         def velocity_root(h: float, z: ExtendedPoint) -> np.ndarray | None:
             """Euler-B's velocity equation is the quadratic
@@ -566,7 +559,7 @@ def rmhmc(
                 return None
             kicked = z.v - h * z.cached(static_force)
             root = np.sqrt(1.0 + (4.0 * h) * d * kicked)
-            contraction = np.abs(1.0 - root).max()
+            contraction = _max_abs(1.0 - root)
             if not contraction < 1.0:  # also when a root is not real
                 raise FixedPointError(
                     float(contraction), "implicit step does not contract at its root: bound"
@@ -576,10 +569,12 @@ def rmhmc(
         def f1(z: ExtendedPoint) -> np.ndarray:
             # M(q) > 0 is checked where the energy is evaluated, at the
             # trajectory's end; a solve through non-positive values fails
-            # or ends there.
-            return z.v / metric.matrix(z.q)
+            # or ends there.  At the Euler-B point the state's memo holds
+            # M(q0), factorized for the momentum draw.
+            ops = None if z.memo is None else z.memo.get(metric_ops)
+            return z.v / (metric.matrix(z.q) if ops is None else ops.diag)
 
-        hooks = dict(df1_dq=lambda z: 2.0 * z.v * quad_diag(z.q), velocity_root=velocity_root)
+        hooks.update(df1_dq=lambda z: 2.0 * z.v * quad_diag(z.q), velocity_root=velocity_root)
         bound = metric.grad_quad_form_bound
         if bound is not None:
 
@@ -590,15 +585,13 @@ def rmhmc(
                 form applies at ``end`` (which the replay and the next step
                 read too)."""
                 return (
-                    (2.0 * bound * h) * np.abs(mid.v).max() < 1.0 / 3.0
+                    (2.0 * bound * h) * _max_abs(mid.v) < 1.0 / 3.0
                     and end.cached(checked_quad_diag) is not False
                 )
 
             hooks["reverse_certified"] = reverse_certified
 
-    integrator = lambda z: integrators.stormer_verlet(
-        n, delta, f1, f2, z, reverse_tol=integrators.REVERSE_TOL, **hooks
-    )
+    integrator = lambda z: integrators.stormer_verlet(n, delta, f1, f2, z, **hooks)
 
     def sample(z: ExtendedPoint, rng: np.random.Generator) -> np.ndarray:
         try:
@@ -663,11 +656,13 @@ def surrogate_hmc(
     times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and the
     palindrome with its stages' times; both reject a config that sets
     ``delta1`` or ``delta2``, and the palindrome rejects ``f1`` and ``f2``.
-    The caller vouches for the parity of ``f1``, odd in ``v`` for
-    momentum-flip reversibility; ``f1_odd=True`` declares it, and it is then
-    spot-checked at construction (which requires ``dim``).  With ``dim``,
-    ``aux`` must draw ``(dim,)`` velocities: a declared ``aux.dim`` is
-    compared, an undeclared law is drawn from once at the origin.
+    ``f1`` and ``f2`` return float arrays (or numbers), which the
+    integrators use as they are.  The caller vouches for the parity of
+    ``f1``, odd in ``v`` for momentum-flip reversibility; ``f1_odd=True``
+    declares it, and it is then spot-checked at construction (which
+    requires ``dim``).  With ``dim``, ``aux`` must draw ``(dim,)``
+    velocities: a declared ``aux.dim`` is compared, an undeclared law is
+    drawn from once at the origin.
 
     With ``volume_preserving=True`` the acceptance uses the energy
     difference of ``H(z) = U(q) - aux.log_density_terms(z)``; the

@@ -37,6 +37,7 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    _point,
     require_count,
     require_finite,
 )
@@ -306,7 +307,7 @@ def pcn(
 
     def rotate(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         # phi is read through the memo: one evaluation per step, at the image.
-        image = ExtendedPoint(*_rotate(c, s, z.q, z.v, flip=True), {})
+        image = _point((*_rotate(c, s, z.q, z.v, flip=True), {}))
         return image, z.cached(phi.eval) - image.cached(phi.eval)
 
     return _hilbert_kernel(target, AuxLaw(), rotate, "pcn")

@@ -13,7 +13,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ExtendedPoint, ConfigurationError, IntegrationError, require_count
+from .core import (
+    ConfigurationError,
+    ExtendedPoint,
+    IntegrationError,
+    _finite,
+    _point,
+    require_count,
+)
 
 __all__ = [
     "DivergenceError",
@@ -90,15 +97,24 @@ def rotation(t: float, z: ExtendedPoint) -> ExtendedPoint:
     return ExtendedPoint(*_rotate(math.cos(t), math.sin(t), z.q, z.v))
 
 
-def _require_finite(q: np.ndarray, v: np.ndarray) -> None:
-    if not (np.isfinite(q).all() and np.isfinite(v).all()):
-        raise DivergenceError("non-finite state encountered during integration")
+def _require_finite(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        if not _finite(array):
+            raise DivergenceError("non-finite state encountered during integration")
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """``max |x|``, NaN if an entry is NaN: the entry at ``argmax``, which
+    at d = 2 costs half the ufunc reduction of ``ndarray.max``."""
+    size = abs(x)
+    return size.item(size.argmax())
 
 
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
     """``n`` repetitions of the kick-drift-kick step with time steps
     ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
-    ``f1(v)``).
+    ``f1(v)``).  The fields return float arrays (or numbers), which the
+    loop uses as they are.
 
     The force is evaluated once per position, the first read from ``z``'s
     memo, and so is its kick ``delta1 f``: a step's closing kick and the
@@ -117,17 +133,17 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"leapfrog requires an integer n >= 1, got {n!r}")
-    f = np.asarray(z.cached(f2), dtype=float)
+    f = z.cached(f2)
     impulse = delta1 * f
     q, v = z.q, z.v
     for _ in range(n):
         v = v + impulse
-        q = q + delta2 * np.asarray(f1(v), dtype=float)
-        f = np.asarray(f2(q), dtype=float)
+        q = q + delta2 * f1(v)
+        f = f2(q)
         impulse = delta1 * f
         v += impulse
     _require_finite(q, v)
-    return ExtendedPoint(q, v, {f2: f})
+    return _point((q, v, {f2: f}))
 
 
 def strang_hilbert(
@@ -138,18 +154,21 @@ def strang_hilbert(
     (velocity shifts ``v -> v - delta1 f(q)``).  ``delta1`` is a number or
     an array of per-coordinate steps.
 
-    Each point is one C-contiguous ``(3, d)`` buffer, fresh per step, with
-    rows ``q``, ``v`` and the kick ``delta1 f(q)``.  One matrix product
-    ``[[c, s, -s], [-s, c, -c]] @ point`` makes the next step's opening kick
-    and its rotation, the force at the new position writes the next kick
-    into the new buffer's last row, and the closing kick subtracts that row
-    from the velocity row.  The force is evaluated once per position, the
-    first read from ``z``'s memo; a step's closing kick and the next step's
-    opening kick share it.  ``z``'s arrays are never written.  The product
-    is the BLAS's ``dgemm``, whose fused multiply-adds round differently
-    from separate products and sums: the endpoint stays within 1e-13
-    relative of the plain kick, rotation and kick (about 1e-14 was measured
-    at up to 12 steps).
+    Each point is one C-contiguous ``(3, d)`` block with rows ``q``, ``v``
+    and the kick ``delta1 f(q)``, and a call allocates its points at once:
+    the ``n + 1`` of a recorded trajectory, whose points own their rows, or,
+    with ``visit``, two that alternate (so one allocation per call, whatever
+    ``n``; a visited point's rows are overwritten two points later).  One
+    matrix product ``[[c, s, -s], [-s, c, -c]] @ point`` makes the next
+    step's opening kick and its rotation, the force at the new position
+    writes the next kick into the new point's last row, and the closing kick
+    subtracts that row from the velocity row.  The force is evaluated once
+    per position, the first read from ``z``'s memo; a step's closing kick
+    and the next step's opening kick share it.  ``z``'s arrays are never
+    written.  The product is the BLAS's ``dgemm``, whose fused
+    multiply-adds round differently from separate products and sums: the
+    endpoint stays within 1e-13 relative of the plain kick, rotation and
+    kick (about 1e-14 was measured at up to 12 steps).
 
     Returns ``(z_n, [z_0, ..., z_n])``, the endpoint and the whole-step
     trajectory, whose points after ``z_0`` carry their forces in their
@@ -185,27 +204,30 @@ def strang_hilbert(
 
     value = z.cached(f)
     value = value if paired else np.asarray(value, dtype=float)
-    point = np.empty((3,) + np.shape(z.q))
+    # One allocation per call: the points of a recorded trajectory, or two
+    # that alternate when each is visited and dropped.
+    points = np.empty((2 if visit else n + 1, 3) + np.shape(z.q))
+    point = points[0]
     point[0], point[1] = z.q, z.v
     np.multiply(delta1, kick(value), out=point[2])
     trajectory = None if visit else [z]
     if visit:
         visit(z.q, z.v, value, point[2])
-    for remaining in range(n - 1, -1, -1):
-        flipped = trajectory is None and not remaining
+    for step in range(1, n + 1):
+        flipped = trajectory is None and step == n
         if flipped:
             product[1] *= -1.0
-        start, point = point, np.empty_like(point)
+        start, point = point, points[step % len(points)]
         np.matmul(product, start, out=point[:2])
         value = f(point[0]) if paired else np.asarray(f(point[0]), dtype=float)
         np.multiply(delta1, kick(value), out=point[2])
         (np.add if flipped else np.subtract)(point[1], point[2], out=point[1])
         if visit:
             visit(point[0], point[1], value, point[2])
-        elif remaining:
+        elif step < n:
             trajectory.append(ExtendedPoint(point[0], point[1], {f: value}))
-    _require_finite(point[0], point[1])
-    end = ExtendedPoint(point[0], point[1], {f: value})
+    _require_finite(point[:2])
+    end = _point((point[0], point[1], {f: value}))
     return end, None if trajectory is None else trajectory + [end]
 
 
@@ -235,7 +257,7 @@ def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
     scale = None
     if slope is not None:
         jacobian = slope(x0)
-        bound = float(np.abs(jacobian).max())
+        bound = _max_abs(jacobian)
         if not bound < 1.0:
             raise FixedPointError(bound, "implicit step does not contract at its start: bound")
         scale = 1.0 / (1.0 - jacobian)
@@ -243,13 +265,9 @@ def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
     previous = math.inf
     for updates in range(1, FIXED_POINT_MAX_ITER + 1):
         fx = step_map(x)
-        if scale is None:
-            size = np.abs(fx - x).max()
-            x = fx
-        else:
-            update = scale * (fx - x)
-            size = np.abs(update).max()
-            x = x + update
+        update = fx - x if scale is None else scale * (fx - x)
+        x = fx if scale is None else x + update
+        size = _max_abs(update)
         if not math.isfinite(size):
             raise DivergenceError("implicit solve diverged")
         if size <= FIXED_POINT_TOL or (
@@ -257,7 +275,7 @@ def fixed_point_solve(step_map, x0: np.ndarray, slope=None) -> np.ndarray:
         ):
             return x
         previous = size
-    raise FixedPointError(float(size))
+    raise FixedPointError(size)
 
 
 def _solve_velocity(delta, f2, z: ExtendedPoint, velocity_root=None) -> np.ndarray:
@@ -266,15 +284,15 @@ def _solve_velocity(delta, f2, z: ExtendedPoint, velocity_root=None) -> np.ndarr
         v = velocity_root(delta, z)
         if v is not None:
             return v
-    update = lambda v: z.v + delta * np.asarray(f2(ExtendedPoint(z.q, v, z.memo)), dtype=float)
-    return fixed_point_solve(update, z.v + delta * np.asarray(f2(z), dtype=float))
+    update = lambda v: z.v + delta * f2(_point((z.q, v, z.memo)))
+    return fixed_point_solve(update, z.v + delta * f2(z))
 
 
 def _solve_position(delta, f1, z: ExtendedPoint, df1_dq=None) -> np.ndarray:
     """The position ``q = q0 + delta f1(q, v0)`` of an Euler-A step from ``z``."""
-    update = lambda q: z.q + delta * np.asarray(f1(ExtendedPoint(q, z.v)), dtype=float)
-    slope = None if df1_dq is None else lambda q: delta * df1_dq(ExtendedPoint(q, z.v))
-    return fixed_point_solve(update, z.q + delta * np.asarray(f1(z), dtype=float), slope)
+    update = lambda q: z.q + delta * f1(_point((q, z.v, None)))
+    slope = None if df1_dq is None else lambda q: delta * df1_dq(_point((q, z.v, None)))
+    return fixed_point_solve(update, z.q + delta * f1(z), slope)
 
 
 def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> ExtendedPoint:
@@ -284,7 +302,8 @@ def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> 
 
     The fields and hooks take a point ``z``, and read work that depends on
     the position alone through ``z.cached``: every point at ``q0`` shares
-    ``z``'s memo, and the returned point gets a fresh one.
+    ``z``'s memo, and the returned point gets a fresh one.  The fields
+    return float arrays (or numbers), which the step uses as they are.
 
     Only the velocity equation is implicit.  ``velocity_root(delta, z)``,
     when given, returns its solution exactly (in closed form, say), which
@@ -295,9 +314,9 @@ def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> 
     so the returned velocity is within an estimated FIXED_POINT_TOL of the
     solution.  The position follows explicitly."""
     v = _solve_velocity(delta, f2, z, velocity_root)
-    q = z.q + delta * np.asarray(f1(ExtendedPoint(z.q, v, z.memo)), dtype=float)
+    q = z.q + delta * f1(_point((z.q, v, z.memo)))
     _require_finite(q, v)
-    return ExtendedPoint(q, v, {})
+    return _point((q, v, {}))
 
 
 def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> ExtendedPoint:
@@ -310,10 +329,10 @@ def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> Extende
     update.  Fields and memos as in :func:`euler_b_step`; the iterates are
     points without a memo.  Numerically the adjoint of Euler-B:
     ``euler_a(delta) == inverse(euler_b(-delta))``."""
-    end = ExtendedPoint(_solve_position(delta, f1, z, df1_dq), z.v, {})
-    v = z.v + delta * np.asarray(f2(end), dtype=float)
+    end = _point((_solve_position(delta, f1, z, df1_dq), z.v, {}))
+    v = z.v + delta * f2(end)
     _require_finite(end.q, v)
-    return end._replace(v=v)
+    return _point((end.q, v, end.memo))
 
 
 def stormer_verlet(
@@ -377,8 +396,8 @@ def stormer_verlet(
             reverse_certified is not None and reverse_certified(half, mid, end)
         ):
             miss = max(
-                np.abs(_solve_velocity(half, f2, momentum_flip(end), velocity_root) + mid.v).max(),
-                np.abs(_solve_position(half, f1, momentum_flip(mid), df1_dq) - z.q).max(),
+                _max_abs(_solve_velocity(half, f2, momentum_flip(end), velocity_root) + mid.v),
+                _max_abs(_solve_position(half, f1, momentum_flip(mid), df1_dq) - z.q),
             )
             if not miss <= reverse_tol:
                 raise FixedPointError(
@@ -416,7 +435,7 @@ def palindromic_compose(
 def momentum_flip(z: ExtendedPoint) -> ExtendedPoint:
     """The exact involution ``R(q, v) = (q, -v)``; keeps ``z``'s memo, which
     depends on ``q`` alone."""
-    return ExtendedPoint(z.q, -z.v, z.memo)
+    return _point((z.q, -z.v, z.memo))
 
 
 def _flatten(z: ExtendedPoint) -> np.ndarray:

@@ -21,7 +21,7 @@ def standard_gaussian(dim: int) -> TargetPotential:
     """U(q) = |q|^2 / 2."""
     require_count(dim=dim)
     return TargetPotential(
-        eval=lambda q: 0.5 * float((q**2).sum()),
+        eval=lambda q: 0.5 * float(np.add.reduce(q**2)),
         grad=lambda q: np.asarray(q, dtype=float),
     )
 
@@ -33,7 +33,7 @@ def anisotropic_gaussian(variances) -> TargetPotential:
     if var.ndim != 1 or var.size == 0 or np.any(var <= 0):
         raise ConfigurationError("variances must be a nonempty positive vector")
     return TargetPotential(
-        eval=lambda q: 0.5 * float((q**2 / var).sum()),
+        eval=lambda q: 0.5 * float(np.add.reduce(q**2 / var)),
         grad=lambda q: np.asarray(q, dtype=float) / var,
     )
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import invmh.cli
 from invmh.cli import (
     EXAMPLE_CONFIGS,
     SAMPLERS,
@@ -201,6 +205,21 @@ class TestRun:
             a = (serial / f"chain_{c:03d}.csv").read_bytes()
             b = (parallel / f"chain_{c:03d}.csv").read_bytes()
             assert a == b
+
+    def test_import_loads_no_process_pool(self):
+        # The process pool is imported by a run with workers > 1, not by the
+        # module: at the top it added 16-32 ms to every start.
+        code = "import sys, invmh.cli; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(invmh.cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_summary_echoes_config(self, tmp_path):
         outdir = tmp_path / "out"
