@@ -30,7 +30,7 @@ count.
 
 After the timed series each side runs once more, untimed: under cProfile,
 for the calls per step of each kernel, and then for the
-per-kernel digests of every seed of ``--check-seeds``.  When the two sides'
+per-kernel digests of every seed of ``CHECK_SEEDS``.  When the two sides'
 digests differ, each side runs its chains once more and saves them; the
 JSON then holds, per kernel, the share of steps whose accept flags agree,
 and the largest relative difference between the sides' positions
@@ -58,6 +58,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Seeds whose chains the two sides must reproduce digest for digest.
+CHECK_SEEDS = (1, 2, 3)
 BUILDERS = {"fd_d2": "fd_kernels", "hilbert_d16384": "hilbert_kernels"}
 
 
@@ -127,7 +129,7 @@ def run_side(src: str, args, save: Path | None = None) -> dict:
 def untimed_side(src: str, args) -> dict:
     """Calls per step of each kernel, as cProfile counts them (Python
     functions and builtins, primitive and recursive calls alike, over the
-    rounds of seed ``--seed``), and per seed of ``--check-seeds`` the digest of each
+    rounds of seed ``--seed``), and per seed of ``CHECK_SEEDS`` the digest of each
     kernel's rounds: its positions, alphas, accept flags and the
     generator's final state."""
     workloads, kernels, dim = _kernels(src, args.workload)
@@ -149,7 +151,7 @@ def untimed_side(src: str, args) -> dict:
         chain(profiled, i, kernel, args.seed, hashlib.sha256())
         total = sum(entry[1] for entry in pstats.Stats(profile).stats.values())
         calls[name] = total / (args.rounds * args.steps)
-        for seed in args.check_seeds:
+        for seed in CHECK_SEEDS:
             digests[f"{seed}/{name}"] = chain(invmh.run_chain, i, kernel, seed, hashlib.sha256())
     return {"calls_per_step": calls, "digests": digests}
 
@@ -171,7 +173,6 @@ def spawn_side(src: Path, args, blas: str, mode: str = "time", save: Path | None
     command = [sys.executable, __file__, "--side", str(src), "--mode", mode]
     command += ["--workload", args.workload, "--rounds", str(args.rounds)]
     command += ["--steps", str(args.steps), "--seed", str(args.seed)]
-    command += ["--check-seeds", *map(str, args.check_seeds)]
     if save is not None:
         command += ["--out", str(save)]
     out = subprocess.run(command, env=env, cwd=ROOT, capture_output=True, text=True, check=True)
@@ -261,7 +262,7 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
         "seed": args.seed,
         "series": series,
         "calls_per_step": {side: u["calls_per_step"] for side, u in untimed.items()},
-        "check_seeds": args.check_seeds,
+        "check_seeds": list(CHECK_SEEDS),
         "check_digests_equal": untimed["base"]["digests"] == untimed["working"]["digests"],
         "check_digests": {side: u["digests"] for side, u in untimed.items()},
     }
@@ -282,7 +283,7 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
     calls = report["calls_per_step"]
     for name, before in calls["base"].items():
         print(f"  {name}: {before:.1f} -> {calls['working'][name]:.1f} calls/step")
-    print(f"  digests equal over seeds {args.check_seeds}: {report['check_digests_equal']}")
+    print(f"  digests equal over seeds {list(CHECK_SEEDS)}: {report['check_digests_equal']}")
     for name, diff in report.get("chain_differences", {}).items():
         print(
             f"  {name}: accept flags agree on {diff['accept_agreement']:.4f}"
@@ -303,7 +304,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--steps", type=int, help="steps per round (default: the workload's)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--check-seeds", type=int, nargs="+", default=[1, 2, 3])
     # With --side, --out is the directory where that side saves its chains.
     parser.add_argument("--out", help="output JSON (default BENCH_ab.json)")
     parser.add_argument("--side", help=argparse.SUPPRESS)  # internal: run one side

@@ -61,12 +61,26 @@ def require_finite(**parameters) -> None:
             raise ConfigurationError(f"{name} must be finite, got {got!r}{at}")
 
 
+# The step path's reductions read one entry at ``argmin`` or ``argmax``: at
+# d = 2 that costs under half of ``ndarray.min``, ``max`` or ``all``, ufunc
+# reductions behind a Python-level wrapper.  Both return a NaN entry's index
+# if there is one, so a NaN reads as least and as greatest.
+
+
+def _least(array) -> float:
+    """The least entry of ``array``, or its first NaN."""
+    return array.item(array.argmin())
+
+
 def _finite(array) -> bool:
-    """Whether every entry of ``array`` is finite: the least entry of its
-    mask, read at ``argmin`` (at d = 2 that costs under half of
-    ``mask.all()``, a ufunc reduction behind a Python-level wrapper)."""
-    mask = np.isfinite(array)
-    return mask.item(mask.argmin())
+    """Whether every entry of ``array`` is finite."""
+    return _least(np.isfinite(array))
+
+
+def _max_abs(array) -> float:
+    """``max |array|``, or NaN if an entry is NaN."""
+    size = abs(array)
+    return size.item(size.argmax())
 
 
 def require_count(minimum: int = 1, /, **parameters) -> None:
@@ -127,8 +141,9 @@ class ExtendedPoint(NamedTuple):
 
 # ``ExtendedPoint(q, v, memo)`` as ``_point((q, v, memo))``: all three fields
 # in one tuple, built by ``tuple.__new__`` without the Python-level
-# ``__new__`` that NamedTuple generates (which doubles the cost).  The step
-# path builds its points this way.
+# ``__new__`` that NamedTuple generates (which doubles the cost).  The
+# package builds every point this way; ``ExtendedPoint`` is the constructor
+# for its users.
 _point = functools.partial(tuple.__new__, ExtendedPoint)
 
 
@@ -444,8 +459,11 @@ def run_chain(
     memo = {kernel.target.eval: start_value}
     with _draws(kernel.aux, rng, n_steps) as draws:
         for k in range(n_steps):
-            _, alphas[k], accepted[k], q, memo = mh_step(kernel, q, draws, memo)
+            result = mh_step(kernel, q, draws, memo)
+            q, memo = result.next, result.memo
             positions[k + 1] = q
+            alphas[k] = result.alpha
+            accepted[k] = result.accepted
     return ChainResult(positions=positions, alphas=alphas, accepted=accepted)
 
 
@@ -465,7 +483,7 @@ def involution_from_proposal_map(
     def apply(z: ExtendedPoint) -> ExtendedPoint:
         q_new = np.asarray(proposal_map(z.q, z.v), dtype=float)
         v_new = np.asarray(invert_in_v(q_new, z.q), dtype=float)
-        return ExtendedPoint(q_new, v_new)
+        return _point((q_new, v_new, None))
 
     return apply
 
@@ -512,7 +530,7 @@ def classic_mh_kernel(
     def swap(z: ExtendedPoint) -> tuple[ExtendedPoint, float]:
         forward = log_p(z.v) + log_proposal_density(z.v, z.q)
         backward = log_p(z.q) + log_proposal_density(z.q, z.v)
-        return ExtendedPoint(z.v, z.q), forward - backward
+        return _point((z.v, z.q, None)), forward - backward
 
     return InvolutiveKernel(
         target=TargetPotential(eval=lambda q: -float(log_p(q))),

@@ -28,6 +28,8 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    _least,
+    _max_abs,
     _point,
     require_count,
     require_finite,
@@ -37,7 +39,6 @@ from . import integrators
 from .integrators import (
     DivergenceError,
     FixedPointError,
-    _max_abs,
     leapfrog,
     numerical_logdet_jacobian,
     palindromic_compose,
@@ -127,8 +128,8 @@ class _SPD:
             return
         value = np.asarray(value, dtype=float)
         if value.ndim == 1:
-            # The entry at argmin is the least, or the first NaN (not > 0).
-            if value.shape != (dim,) or not value.item(value.argmin()) > 0:
+            # A NaN entry is not > 0.
+            if value.shape != (dim,) or not _least(value) > 0:
                 raise error(f"diagonal matrix is not positive and of shape ({dim},)")
             self.diag, root = value, np.sqrt(value)
             self.sample = lambda rng: root * rng.standard_normal(dim)
@@ -175,7 +176,7 @@ def _check_aux_dim(aux: AuxiliaryKernel, dim: int) -> None:
     compared without a draw; an undeclared law is drawn from once, at the
     origin, with a generator of its own (not the chain's)."""
     drawn = (aux.dim,) if aux.dim is not None else np.shape(
-        aux.sample(ExtendedPoint(np.zeros(dim), None, {}), np.random.default_rng(0))
+        aux.sample(_point((np.zeros(dim), None, {})), np.random.default_rng(0))
     )
     if drawn != (dim,):
         raise ConfigurationError(f"the auxiliary law draws {drawn} velocities, not ({dim},)")
@@ -624,7 +625,7 @@ def _f1_is_odd(f1, dim: int, points: bool) -> bool:
         v = rng.standard_normal(dim)
         if points:
             q, memo = rng.standard_normal(dim), {}
-            plus, minus = f1(ExtendedPoint(q, v, memo)), f1(ExtendedPoint(q, -v, memo))
+            plus, minus = f1(_point((q, v, memo))), f1(_point((q, -v, memo)))
         else:
             plus, minus = f1(v), f1(-v)
         plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
@@ -656,13 +657,11 @@ def surrogate_hmc(
     times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and the
     palindrome with its stages' times; both reject a config that sets
     ``delta1`` or ``delta2``, and the palindrome rejects ``f1`` and ``f2``.
-    ``f1`` and ``f2`` return float arrays (or numbers), which the
-    integrators use as they are.  The caller vouches for the parity of
-    ``f1``, odd in ``v`` for momentum-flip reversibility; ``f1_odd=True``
-    declares it, and it is then spot-checked at construction (which
-    requires ``dim``).  With ``dim``, ``aux`` must draw ``(dim,)``
-    velocities: a declared ``aux.dim`` is compared, an undeclared law is
-    drawn from once at the origin.
+    The caller vouches for the parity of ``f1``, odd in ``v`` for
+    momentum-flip reversibility; ``f1_odd=True`` declares it, and it is then
+    spot-checked at construction (which requires ``dim``).  With ``dim``,
+    ``aux`` must draw ``(dim,)`` velocities: a declared ``aux.dim`` is
+    compared, an undeclared law is drawn from once at the origin.
 
     With ``volume_preserving=True`` the acceptance uses the energy
     difference of ``H(z) = U(q) - aux.log_density_terms(z)``; the

@@ -430,7 +430,7 @@ def leapfrog_refinement_probe(
         ref, f = target.reference, target.force()
         naive_stats, log_rns = np.empty(n_draws), np.empty(n_draws)
         for i in range(n_draws):
-            z = ExtendedPoint(ref.sample(rng), ref.sample(rng))
+            z = _point((ref.sample(rng), ref.sample(rng), None))
             naive_stats[i] = ref.cm_sq_norm(z.q + np.asarray(f(z.q), dtype=float))
             log_rns[i] = hilbert_log_rn(target, AuxLaw(), delta / 2.0, delta, 1, z)
         naive.append(float(np.median(naive_stats)))
@@ -453,7 +453,7 @@ def validate_aux_normalization(
     memo = {}
     for i in range(n_draws):
         v = ref.sample(rng)
-        values[i] = math.exp(-aux.h_tilde(ref, ExtendedPoint(q, v, memo)))
+        values[i] = math.exp(-aux.h_tilde(ref, _point((q, v, memo))))
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_draws))
 
 

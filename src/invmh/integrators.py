@@ -18,6 +18,7 @@ from .core import (
     ExtendedPoint,
     IntegrationError,
     _finite,
+    _max_abs,
     _point,
     require_count,
 )
@@ -70,12 +71,12 @@ class FixedPointError(IntegrationError):
 
 def kick(t: float, f2, z: ExtendedPoint) -> ExtendedPoint:
     """Velocity update ``(q, v) -> (q, v + t f2(q))``."""
-    return ExtendedPoint(z.q, z.v + t * np.asarray(f2(z.q), dtype=float))
+    return _point((z.q, z.v + t * np.asarray(f2(z.q), dtype=float), None))
 
 
 def drift(t: float, f1, z: ExtendedPoint) -> ExtendedPoint:
     """Position update ``(q, v) -> (q + t f1(v), v)``."""
-    return ExtendedPoint(z.q + t * np.asarray(f1(z.v), dtype=float), z.v)
+    return _point((z.q + t * np.asarray(f1(z.v), dtype=float), z.v, None))
 
 
 def _rotate(c: float, s: float, q, k, flip: bool = False):
@@ -94,7 +95,7 @@ def _rotate(c: float, s: float, q, k, flip: bool = False):
 def rotation(t: float, z: ExtendedPoint) -> ExtendedPoint:
     """Exact flow of ``dq/dt = v, dv/dt = -q``: a rotation in each
     ``(q_i, v_i)`` plane.  Preserves ``|q|^2 + |v|^2``."""
-    return ExtendedPoint(*_rotate(math.cos(t), math.sin(t), z.q, z.v))
+    return _point((*_rotate(math.cos(t), math.sin(t), z.q, z.v), None))
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -103,18 +104,10 @@ def _require_finite(*arrays: np.ndarray) -> None:
             raise DivergenceError("non-finite state encountered during integration")
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """``max |x|``, NaN if an entry is NaN: the entry at ``argmax``, which
-    at d = 2 costs half the ufunc reduction of ``ndarray.max``."""
-    size = abs(x)
-    return size.item(size.argmax())
-
-
 def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> ExtendedPoint:
     """``n`` repetitions of the kick-drift-kick step with time steps
     ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
-    ``f1(v)``).  The fields return float arrays (or numbers), which the
-    loop uses as they are.
+    ``f1(v)``).
 
     The force is evaluated once per position, the first read from ``z``'s
     memo, and so is its kick ``delta1 f``: a step's closing kick and the
@@ -133,13 +126,13 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"leapfrog requires an integer n >= 1, got {n!r}")
-    f = z.cached(f2)
+    f = np.asarray(z.cached(f2), dtype=float)
     impulse = delta1 * f
     q, v = z.q, z.v
     for _ in range(n):
         v = v + impulse
-        q = q + delta2 * f1(v)
-        f = f2(q)
+        q = q + delta2 * np.asarray(f1(v), dtype=float)
+        f = np.asarray(f2(q), dtype=float)
         impulse = delta1 * f
         v += impulse
     _require_finite(q, v)
@@ -225,7 +218,7 @@ def strang_hilbert(
         if visit:
             visit(point[0], point[1], value, point[2])
         elif step < n:
-            trajectory.append(ExtendedPoint(point[0], point[1], {f: value}))
+            trajectory.append(_point((point[0], point[1], {f: value})))
     _require_finite(point[:2])
     end = _point((point[0], point[1], {f: value}))
     return end, None if trajectory is None else trajectory + [end]
@@ -284,15 +277,15 @@ def _solve_velocity(delta, f2, z: ExtendedPoint, velocity_root=None) -> np.ndarr
         v = velocity_root(delta, z)
         if v is not None:
             return v
-    update = lambda v: z.v + delta * f2(_point((z.q, v, z.memo)))
-    return fixed_point_solve(update, z.v + delta * f2(z))
+    update = lambda v: z.v + delta * np.asarray(f2(_point((z.q, v, z.memo))), dtype=float)
+    return fixed_point_solve(update, z.v + delta * np.asarray(f2(z), dtype=float))
 
 
 def _solve_position(delta, f1, z: ExtendedPoint, df1_dq=None) -> np.ndarray:
     """The position ``q = q0 + delta f1(q, v0)`` of an Euler-A step from ``z``."""
-    update = lambda q: z.q + delta * f1(_point((q, z.v, None)))
+    update = lambda q: z.q + delta * np.asarray(f1(_point((q, z.v, None))), dtype=float)
     slope = None if df1_dq is None else lambda q: delta * df1_dq(_point((q, z.v, None)))
-    return fixed_point_solve(update, z.q + delta * f1(z), slope)
+    return fixed_point_solve(update, z.q + delta * np.asarray(f1(z), dtype=float), slope)
 
 
 def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> ExtendedPoint:
@@ -302,8 +295,7 @@ def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> 
 
     The fields and hooks take a point ``z``, and read work that depends on
     the position alone through ``z.cached``: every point at ``q0`` shares
-    ``z``'s memo, and the returned point gets a fresh one.  The fields
-    return float arrays (or numbers), which the step uses as they are.
+    ``z``'s memo, and the returned point gets a fresh one.
 
     Only the velocity equation is implicit.  ``velocity_root(delta, z)``,
     when given, returns its solution exactly (in closed form, say), which
@@ -314,7 +306,7 @@ def euler_b_step(delta: float, f1, f2, z: ExtendedPoint, velocity_root=None) -> 
     so the returned velocity is within an estimated FIXED_POINT_TOL of the
     solution.  The position follows explicitly."""
     v = _solve_velocity(delta, f2, z, velocity_root)
-    q = z.q + delta * f1(_point((z.q, v, z.memo)))
+    q = z.q + delta * np.asarray(f1(_point((z.q, v, z.memo))), dtype=float)
     _require_finite(q, v)
     return _point((q, v, {}))
 
@@ -330,7 +322,7 @@ def euler_a_step(delta: float, f1, f2, z: ExtendedPoint, df1_dq=None) -> Extende
     points without a memo.  Numerically the adjoint of Euler-B:
     ``euler_a(delta) == inverse(euler_b(-delta))``."""
     end = _point((_solve_position(delta, f1, z, df1_dq), z.v, {}))
-    v = z.v + delta * f2(end)
+    v = z.v + delta * np.asarray(f2(end), dtype=float)
     _require_finite(end.q, v)
     return _point((end.q, v, end.memo))
 
@@ -443,7 +435,7 @@ def _flatten(z: ExtendedPoint) -> np.ndarray:
 
 
 def _unflatten(w: np.ndarray, dq: int) -> ExtendedPoint:
-    return ExtendedPoint(w[:dq], w[dq:])
+    return _point((w[:dq], w[dq:], None))
 
 
 def numerical_logdet_jacobian(

@@ -1179,6 +1179,32 @@ class TestSurrogateHmc:
                 f1=f1, f2=f2, f1_odd=True, scheme=scheme, dim=2,
             )
 
+    @pytest.mark.parametrize("scheme", ["leapfrog", "stormer_verlet"])
+    @pytest.mark.parametrize("convert", [list, lambda x: np.asarray(x, dtype=np.float32)])
+    def test_fields_may_return_lists_or_float32(self, scheme, convert):
+        # Field values become float64 arrays before they are scaled: a
+        # field that returns a list or float32 runs the chain of the same
+        # values in float64.
+        target = anisotropic_gaussian([1.0, 0.25])
+        grad = target.grad
+        if scheme == "leapfrog":
+            f1, f2 = (lambda v: 0.9 * v), (lambda q: -grad(q))
+        else:
+            f1, f2 = (lambda z: 0.9 * z.v), (lambda z: -grad(z.q))
+
+        def chain(out):
+            kernel = surrogate_hmc(
+                target, gaussian_momentum(2), HmcConfig(delta=0.4, n=2),
+                f1=lambda x: out(f1(x)), f2=lambda x: out(f2(x)), scheme=scheme, dim=2,
+            )
+            return run_chain(kernel, np.zeros(2), 200, np.random.default_rng(3))
+
+        converted = chain(convert)
+        as_float = chain(lambda x: np.asarray(convert(x), dtype=float))
+        assert converted.accepted.any()
+        for field in ("positions", "alphas", "accepted"):
+            assert getattr(converted, field).tobytes() == getattr(as_float, field).tobytes()
+
     def test_stormer_verlet_scheme(self, rng):
         target = standard_gaussian(2)
         grad = target.grad
