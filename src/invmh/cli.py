@@ -377,6 +377,8 @@ def _validate_run_section(config: dict) -> dict:
     if n_chains < 1:
         _fail("run.n_chains", "must be positive")
     seed = _get(run_spec, "run", "seed", int)
+    if seed < 0:
+        _fail("run.seed", "must be nonnegative")
     normalized = {"n_steps": n_steps, "burn_in": burn_in, "n_chains": n_chains, "seed": seed}
     if "q0" in run_spec:
         normalized["q0"] = _get(run_spec, "run", "q0", list)
@@ -456,11 +458,15 @@ def run(
         run_spec = _validate_run_section(config)
         out_spec = _validate_output_section(config)
         if seed is not None:
+            if seed < 0:
+                raise ConfigError("--seed: must be nonnegative")
             run_spec["seed"] = int(seed)
         if n_chains is not None:
             if n_chains < 1:
                 raise ConfigError("--chains: must be positive")
             run_spec["n_chains"] = int(n_chains)
+        if workers < 1:
+            raise ConfigError("--workers: must be positive")
         resolved = {
             "target": config["target"],
             "sampler": _get(config, "config", "sampler", dict),

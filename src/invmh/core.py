@@ -14,7 +14,6 @@ import collections
 import contextlib
 import functools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -319,8 +318,8 @@ class ChainResult:
         return self.positions.shape[0]
 
 
-# Steps of noise a producer thread hands over at a time, and the chunks it
-# may hold ready ahead of the chain.
+# Steps of noise the producer draws per task, and the tasks it may have
+# queued or done ahead of the chain.
 NOISE_CHUNK = 4
 NOISE_AHEAD = 2
 # Smallest declared dimension at which run_chain draws a gaussian_noise
@@ -337,39 +336,37 @@ NOISE_THREAD_DIM = 8192
 
 class _NoiseSource:
     """The draws ``rng.standard_normal(dim)`` and then ``rng.random()`` of
-    each of ``n_steps`` chain steps, made in that order on a thread of
-    their own, ``NOISE_CHUNK`` steps at a time and at most ``NOISE_AHEAD``
-    chunks ahead, and handed out in the same order by the methods of the
-    same names.  A step calls ``standard_normal(dim)`` once and then
-    ``random()`` once; any other call raises, so a law that breaks its
-    declaration cannot silently desynchronize the stream.  Used as a
-    context manager, whose entry starts the thread and whose exit stops and
-    joins it."""
+    each of ``n_steps`` chain steps, made in that order by the one worker
+    thread of an executor, one task of ``NOISE_CHUNK`` steps at a time and
+    at most ``NOISE_AHEAD`` tasks ahead of the chunk the chain is on, and
+    handed out in the same order by the methods of the same names.  One
+    worker runs its tasks one at a time in the order they were submitted,
+    so the generator sees the calls of a plain loop, and an exception
+    raised by a draw reaches the chain through the task's result.  A step
+    calls ``standard_normal(dim)`` once and then ``random()`` once; any
+    other call raises, so a law that breaks its declaration cannot silently
+    desynchronize the stream.  Used as a context manager, whose entry starts
+    the executor and whose exit cancels the tasks not started and joins the
+    worker."""
 
     def __init__(self, rng: np.random.Generator, dim: int, n_steps: int):
+        self._rng = rng
         self._dim = dim
+        self._left = n_steps  # steps not yet submitted
         self._chunks = collections.deque()
-        self._ready = threading.Semaphore(0)
-        self._room = threading.Semaphore(NOISE_AHEAD)
-        self._stopped = False
         self._pending: list = []
         self._uniform = None
-        self._thread = threading.Thread(target=self._produce, args=(rng, n_steps), daemon=True)
 
-    def _produce(self, rng: np.random.Generator, n_steps: int) -> None:
-        try:
-            for start in range(0, n_steps, NOISE_CHUNK):
-                self._room.acquire()
-                if self._stopped:
-                    return
-                count = min(NOISE_CHUNK, n_steps - start)
-                draws = [(rng.standard_normal(self._dim), rng.random()) for _ in range(count)]
-                draws.reverse()  # handed out by pop()
-                self._chunks.append(draws)
-                self._ready.release()
-        except Exception as exc:  # noqa: BLE001 - raised again on the chain's thread
-            self._chunks.append(exc)
-            self._ready.release()
+    def _draw(self, count: int) -> list:
+        """The next ``count`` steps' draws, last first: handed out by ``pop()``."""
+        draws = [(self._rng.standard_normal(self._dim), self._rng.random()) for _ in range(count)]
+        return draws[::-1]
+
+    def _submit(self) -> None:
+        count = min(NOISE_CHUNK, self._left)
+        if count:
+            self._left -= count
+            self._chunks.append(self._executor.submit(self._draw, count))
 
     def standard_normal(self, size: int) -> np.ndarray:
         if size != self._dim or self._uniform is not None:
@@ -378,11 +375,8 @@ class _NoiseSource:
                 f"got standard_normal({size!r})"
             )
         if not self._pending:
-            self._ready.acquire()
-            self._pending = self._chunks.popleft()
-            self._room.release()
-            if isinstance(self._pending, Exception):
-                raise self._pending
+            self._pending = self._chunks.popleft().result()
+            self._submit()
         normal, self._uniform = self._pending.pop()
         return normal
 
@@ -393,22 +387,22 @@ class _NoiseSource:
         return uniform
 
     def __enter__(self) -> "_NoiseSource":
-        self._thread.start()
+        from concurrent.futures import ThreadPoolExecutor  # not at import: it costs ~7 ms
+
+        self._executor = ThreadPoolExecutor(1)
+        for _ in range(NOISE_AHEAD):
+            self._submit()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        # A producer waiting for room sees the flag after this release; one
-        # drawing a chunk adds it (there is room for it) and then stops.
-        self._stopped = True
-        self._room.release()
-        self._thread.join()
+        self._executor.shutdown(cancel_futures=True)
 
 
 def _draws(aux: AuxiliaryKernel, rng: np.random.Generator, n_steps: int):
     """The source of a chain's draws, as a context manager: a
-    :class:`_NoiseSource` for a declared ``gaussian_noise`` law of dimension
-    at least ``NOISE_THREAD_DIM``, two steps or more and a second CPU, else
-    ``rng`` itself."""
+    :class:`_NoiseSource`, whose executor thread draws ahead, for a declared
+    ``gaussian_noise`` law of dimension at least ``NOISE_THREAD_DIM``, two
+    steps or more and a second CPU, else ``rng`` itself."""
     if (
         aux.gaussian_noise
         and aux.dim is not None
@@ -435,15 +429,17 @@ def run_chain(
     Each step draws its auxiliary variable and then one uniform from
     ``rng``.  When the kernel's law declares ``gaussian_noise`` at a
     dimension of at least ``NOISE_THREAD_DIM`` (8192), the chain has two
-    steps or more and the process may use two CPUs, a producer thread makes
-    these draws ahead while the steps run (:class:`_NoiseSource`), in the
-    same order and exactly ``n_steps`` of each: the chain and the
-    generator's state afterwards are the same as without it, bit for bit.
-    Below 8192 the thread's handoff costs more than the draw (at d=1024 it
-    made pcn steps 1.9 times slower; at 8192 it made every function-space
-    kernel faster; see ``NOISE_THREAD_DIM``).  The thread is joined before
-    ``run_chain`` returns or raises; after an exception the generator may
-    have advanced by the steps drawn ahead.
+    steps or more and the process may use two CPUs, the one worker thread
+    of an executor makes these draws ahead while the steps run
+    (:class:`_NoiseSource`), in the same order and exactly ``n_steps`` of
+    each: the chain and the generator's state afterwards are the same as
+    without it, bit for bit, and an exception raised by a draw reaches the
+    caller unchanged.  Below 8192 the thread's handoff costs more than the
+    draw (at d=1024 it made pcn steps 1.9 times slower; at 8192 it made
+    every function-space kernel faster; see ``NOISE_THREAD_DIM``).  The
+    executor is shut down and its thread joined before ``run_chain``
+    returns or raises; after an exception the generator may have advanced
+    by the steps drawn ahead.
     """
     require_count(0, n_steps=n_steps)
     q = np.asarray(q0, dtype=float)

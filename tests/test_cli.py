@@ -207,9 +207,10 @@ class TestRun:
             assert a == b
 
     def test_import_loads_no_process_pool(self):
-        # The process pool is imported by a run with workers > 1, not by the
-        # module: at the top it added 16-32 ms to every start.
-        code = "import sys, invmh.cli; print('concurrent.futures.process' in sys.modules)"
+        # The process pool is imported by a run with workers > 1, and the
+        # thread pool by a noise producer or a detailed-balance test, not by
+        # the modules: at the top they added 16-32 ms to every start.
+        code = "import sys, invmh.cli; print(any(m.startswith('concurrent') for m in sys.modules))"
         src = str(Path(invmh.cli.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -317,6 +318,21 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path, config))]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "--workers: must be positive"),
+            (["--workers", "-5"], "--workers: must be positive"),
+            (["--chains", "0"], "--chains: must be positive"),
+            (["--seed", "-1"], "--seed: must be nonnegative"),
+        ],
+    )
+    def test_bad_flag_is_a_config_error(self, tmp_path, capsys, flags, message):
+        path = write_config(tmp_path, rwmc_config(str(tmp_path / "out"), n_steps=20))
+        assert main(["run", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
@@ -527,6 +543,7 @@ class TestConfigErrors:
             "target.eigenvalues.power_law.pp: unknown field",
         ),
         "run.burnin": (FD2, MALA, "run.burnin: unknown field", {"run": {"burnin": 50}}),
+        "negative seed": (FD2, MALA, "run.seed: must be nonnegative", {"run": {"seed": -1}}),
         "output.thining": (
             FD2, MALA, "output.thining: unknown field", {"output": {"thining": 10}}
         ),

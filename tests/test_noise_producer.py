@@ -10,6 +10,7 @@ what the producer makes for it.
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from invmh import (
     pcn,
     run_chain,
 )
-from invmh.core import NOISE_CHUNK, NOISE_THREAD_DIM
+from invmh.core import NOISE_AHEAD, NOISE_CHUNK, NOISE_THREAD_DIM
 from invmh.hilbert import default_hilbert_target
 
 D = NOISE_THREAD_DIM
@@ -184,3 +185,71 @@ def test_declared_laws_draw_one_standard_normal(kernel_zoo):
             v = aux.sample(invmh.core.ExtendedPoint(z.q, None, {}), rng)
             assert rng.calls == [("standard_normal", (aux.dim,), {})], name
             assert np.shape(v) == (aux.dim,), name
+
+
+def _with_sample(kernel, sample):
+    """``kernel`` whose auxiliary law draws by ``sample``, keeping its
+    declarations."""
+    return dataclasses.replace(kernel, aux=dataclasses.replace(kernel.aux, sample=sample))
+
+
+BROKEN_DECLARATIONS = {
+    "two normals": lambda z, rng: rng.standard_normal(D) + rng.standard_normal(D),
+    "wrong size": lambda z, rng: np.append(rng.standard_normal(D - 1), 0.0),
+    "uniform first": lambda z, rng: rng.random() + rng.standard_normal(D),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_DECLARATIONS)
+def test_a_law_that_breaks_its_declaration_raises(name):
+    kernel = _with_sample(KERNELS["pcn"], BROKEN_DECLARATIONS[name])
+    before = threading.active_count()
+    with pytest.raises(invmh.core.ConfigurationError, match="a gaussian_noise law draws"):
+        run_chain(kernel, np.zeros(D), 3 * NOISE_CHUNK, np.random.default_rng(1))
+    assert threading.active_count() == before
+
+
+class _CountingGenerator:
+    """A generator that counts its ``standard_normal`` calls and raises
+    ``error`` at call number ``fail_at``."""
+
+    def __init__(self, seed: int, fail_at: int = 0, error: Exception | None = None):
+        self._rng = np.random.default_rng(seed)
+        self._fail_at, self._error = fail_at, error
+        self.normals = 0
+
+    def standard_normal(self, size):
+        self.normals += 1
+        if self.normals == self._fail_at:
+            raise self._error
+        return self._rng.standard_normal(size)
+
+    def random(self):
+        return self._rng.random()
+
+
+def test_a_generator_error_reaches_the_caller_unchanged():
+    error = FloatingPointError("generator failed")
+    rng = _CountingGenerator(1, fail_at=10, error=error)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as raised:
+        run_chain(KERNELS["pcn"], np.zeros(D), 50 * NOISE_CHUNK, rng)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_the_look_ahead_stays_bounded():
+    # Each step waits, so the producer runs as far ahead as it may.
+    n_steps, rng, counts = 6 * NOISE_CHUNK + 1, _CountingGenerator(1), []
+    sample = KERNELS["pcn"].aux.sample
+
+    def slow(z, source):
+        v = sample(z, source)
+        time.sleep(0.002)
+        counts.append(rng.normals)
+        return v
+
+    run_chain(_with_sample(KERNELS["pcn"], slow), np.zeros(D), n_steps, rng)
+    assert len(counts) == n_steps
+    for k, count in enumerate(counts):
+        assert k + 1 <= count <= min(n_steps, (k // NOISE_CHUNK + 1 + NOISE_AHEAD) * NOISE_CHUNK), k
