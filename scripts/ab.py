@@ -4,6 +4,7 @@ another, or against the working tree.
     python3 scripts/ab.py --workload fd_d2 hilbert_d16384 --base HEAD --out BENCH_lean.json
     python3 scripts/ab.py --workload hilbert_d16384 --base 47ad075 --working 5d306d0 \\
         --rounds 8 --out BENCH_fused.json
+    python3 scripts/ab.py --workload cli_many_chains --base HEAD --out BENCH_dbtest.json
 
 Run from the root of a git checkout.  Each side's ``src/`` is extracted with
 ``git archive`` into a temporary directory (the working side is the working
@@ -19,6 +20,16 @@ digest of every position, alpha, accept flag and final generator state.
 The two sides alternate which runs first.  Each workload named by
 ``--workload`` is measured in turn and has its own entry under
 ``workloads`` in the output JSON.
+
+``cli_many_chains`` measures ``invmh run`` instead: a side makes
+``--rounds`` invocations of ``EXAMPLE_CONFIGS["mala_gaussian"]`` with 8
+chains through ``CliManyChains.run_round`` of ``perfbench/cli_workload.py``
+(imported, never changed; it holds the config name and chain count), and
+reports chain steps per second of ``invmh.cli.main`` time and a digest of
+every CSV and ``summary.json`` (without its ``directory`` field).  It then
+times ``detailed_balance_test`` on 2000 transition pairs of a seeded AR(1)
+series with the default 999 permutations, ``DB_TEST_CALLS`` calls with one
+strip worker and as many with two, and reports the median per call.
 
 Two series are run per workload: ``--pairs`` pairs with one BLAS thread (as
 ``perfbench/run.py`` sets it), then ``--default-blas-pairs`` pairs with the
@@ -61,6 +72,10 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Seeds whose chains the two sides must reproduce digest for digest.
 CHECK_SEEDS = (1, 2, 3)
 BUILDERS = {"fd_d2": "fd_kernels", "hilbert_d16384": "hilbert_kernels"}
+CLI_WORKLOAD = "cli_many_chains"
+# Timed detailed_balance_test calls per strip-worker count in a cli side.
+DB_TEST_CALLS = 7
+DB_TEST_PAIRS = 2000
 
 
 def _kernels(src: str, workload: str):
@@ -124,6 +139,72 @@ def run_side(src: str, args, save: Path | None = None) -> dict:
         "kernel_steps_per_s": {name: n / s for name, s in seconds.items()},
         "digest": digest.hexdigest(),
     }
+
+
+def _cli_rounds(seed: int, rounds: int, workdir: Path, runner=None):
+    """``rounds`` invocations of the ``cli_many_chains`` workload with run
+    seed ``seed`` (``runner`` wraps each one, as cProfile does): the seconds
+    in ``invmh.cli.main``, the chain steps and the digest of every round's
+    CSVs and summary."""
+    import cli_workload
+
+    workload = cli_workload.CliManyChains(seed, None, workdir)
+    run = workload.run_round if runner is None else lambda i: runner(workload.run_round, i)
+    done = [run(index) for index in range(rounds)]
+    if workload.failures:
+        raise RuntimeError("; ".join(workload.failures))
+    digest = hashlib.sha256("".join(workload.digests).encode()).hexdigest()
+    return sum(r.seconds for r in done), sum(r.steps for r in done), digest, workload
+
+
+def _db_test_ms(workers: int) -> float:
+    """Median milliseconds per ``detailed_balance_test`` call on
+    ``DB_TEST_PAIRS`` pairs with ``workers`` strip workers."""
+    import numpy as np
+
+    from invmh import diagnostics
+
+    rng = np.random.default_rng(0)
+    x = np.zeros(DB_TEST_PAIRS + 1)
+    for k in range(DB_TEST_PAIRS):
+        x[k + 1] = 0.9 * x[k] + rng.standard_normal()
+    pairs = diagnostics.transition_pairs(x)
+    count = diagnostics._worker_count
+    diagnostics._worker_count = lambda: workers
+    times = []
+    try:
+        for call in range(DB_TEST_CALLS):
+            start = time.perf_counter()
+            diagnostics.detailed_balance_test(pairs, np.random.default_rng(call))
+            times.append(time.perf_counter() - start)
+    finally:
+        diagnostics._worker_count = count
+    return 1e3 * sorted(times)[len(times) // 2]
+
+
+def cli_side(src: str, args, mode: str) -> dict:
+    """A ``cli_many_chains`` side: timed, as :func:`run_side`, with the
+    detailed-balance timings, or untimed, as :func:`untimed_side`."""
+    sys.path[:0] = [src, str(ROOT / "perfbench")]
+    with tempfile.TemporaryDirectory() as workdir:
+        if mode == "time":
+            seconds, steps, digest, workload = _cli_rounds(args.seed, args.rounds, Path(workdir))
+            sampler = workload.config["sampler"]["name"]
+            return {
+                "steps_per_s": steps / seconds,
+                "kernel_steps_per_s": {sampler: steps / seconds},
+                "db_test_ms": {str(w): _db_test_ms(w) for w in (1, 2)},
+                "digest": digest,
+            }
+        profile = cProfile.Profile()
+        _, steps, _, workload = _cli_rounds(args.seed, args.rounds, Path(workdir), profile.runcall)
+        sampler = workload.config["sampler"]["name"]
+        total = sum(entry[1] for entry in pstats.Stats(profile).stats.values())
+        digests = {
+            f"{seed}/{sampler}": _cli_rounds(seed, args.rounds, Path(workdir))[2]
+            for seed in CHECK_SEEDS
+        }
+        return {"calls_per_step": {sampler: total / steps}, "digests": digests}
 
 
 def untimed_side(src: str, args) -> dict:
@@ -239,6 +320,16 @@ def run_series(sides: dict[str, Path], args, blas: str, pairs: int) -> dict:
     series["working_won"] = sum(
         run["working"]["steps_per_s"] > run["base"]["steps_per_s"] for run in runs
     )
+    if "db_test_ms" in runs[0]["base"]:
+        for side in ("base", "working"):
+            series[side]["db_test_ms"] = {
+                w: quartiles([run[side]["db_test_ms"][w] for run in runs])
+                for w in runs[0][side]["db_test_ms"]
+            }
+        series["db_test_working_won"] = {
+            w: sum(run["working"]["db_test_ms"][w] < run["base"]["db_test_ms"][w] for run in runs)
+            for w in runs[0]["base"]["db_test_ms"]
+        }
     base = series["base"]
     series["median_gain"] = series["working"]["median"] - base["median"]
     series["base_iqr"] = base["q3"] - base["q1"]
@@ -255,8 +346,15 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
     if args.default_blas_pairs:
         series.append(run_series(sides, args, "default", args.default_blas_pairs))
     untimed = {side: spawn_side(src, args, "1", "untimed") for side, src in sides.items()}
+    what = f"steps/s of run_chain over the {args.workload} kernels"
+    if args.workload == CLI_WORKLOAD:
+        what = (
+            "steps/s of invmh.cli.main over invmh run invocations of the cli_many_chains"
+            f" workload, and ms per detailed_balance_test call at {DB_TEST_PAIRS} pairs"
+            " with 1 and 2 strip workers"
+        )
     report = {
-        "what": f"steps/s of run_chain over the {args.workload} kernels",
+        "what": what,
         "rounds": args.rounds,
         "steps_per_round": args.steps,
         "seed": args.seed,
@@ -266,7 +364,7 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
         "check_digests_equal": untimed["base"]["digests"] == untimed["working"]["digests"],
         "check_digests": {side: u["digests"] for side, u in untimed.items()},
     }
-    if not all(s["digests_equal"] for s in series):
+    if args.workload != CLI_WORKLOAD and not all(s["digests_equal"] for s in series):
         report["chain_differences"] = compare_sides(sides, args, scratch)
     print(f"{args.workload}:")
     for s in series:
@@ -280,6 +378,13 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
         for name, us in base["kernel_us_per_step"].items():
             after = working["kernel_us_per_step"][name]["median"]
             print(f"    {name}: {us['median']:.1f} -> {after:.1f} us/step")
+        for w, ms in base.get("db_test_ms", {}).items():
+            after = working["db_test_ms"][w]["median"]
+            won = s["db_test_working_won"][w]
+            print(
+                f"    detailed_balance_test, {w} worker(s): {ms['median']:.1f} -> {after:.1f} ms"
+                f" per call, won {won}/{s['pairs']}"
+            )
     calls = report["calls_per_step"]
     for name, before in calls["base"].items():
         print(f"  {name}: {before:.1f} -> {calls['working'][name]:.1f} calls/step")
@@ -296,7 +401,9 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(BUILDERS), nargs="+", default=["fd_d2"])
+    parser.add_argument(
+        "--workload", choices=sorted([*BUILDERS, CLI_WORKLOAD]), nargs="+", default=["fd_d2"]
+    )
     parser.add_argument("--base", default="HEAD", help="git ref of the base side (default HEAD)")
     parser.add_argument("--working", help="git ref of the working side (default: the working tree)")
     parser.add_argument("--pairs", type=int, default=10)
@@ -312,7 +419,9 @@ def main(argv=None) -> int:
     steps = args.steps
     if args.side:
         (args.workload,) = args.workload
-        if args.mode == "untimed":
+        if args.workload == CLI_WORKLOAD:
+            print(json.dumps(cli_side(args.side, args, args.mode)))
+        elif args.mode == "untimed":
             print(json.dumps(untimed_side(args.side, args)))
         else:
             save = None if args.out is None else Path(args.out)

@@ -42,15 +42,16 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _signs(rng: np.random.Generator, n: int, n_permutations: int) -> np.ndarray:
-    """``n`` by ``n_permutations`` random signs, the values and generator
-    state of ``rng.integers(0, 2, size=(n, n_permutations)) * 2.0 - 1.0``
+def _signs(rng: np.random.Generator, n: int, n_permutations: int, observed=False) -> np.ndarray:
+    """``n`` by ``n_permutations`` random signs in single precision, the
+    values and generator state of ``rng.integers(0, 2, size=(n, n_permutations)) * 2.0 - 1.0``
     without its full-size temporaries: the integers are drawn in row
-    blocks, which consume the stream in the same order."""
-    signs = np.empty((n, n_permutations))
+    blocks, which consume the stream in the same order.  With ``observed``,
+    a column of ones, the observed statistic's signs, comes first."""
+    signs = np.ones((n, observed + n_permutations), dtype=np.float32)
     for r0 in range(0, n, ROW_BLOCK):
         block = rng.integers(0, 2, size=(min(ROW_BLOCK, n - r0), n_permutations))
-        signs[r0 : r0 + ROW_BLOCK] = block * 2.0 - 1.0
+        signs[r0 : r0 + ROW_BLOCK, observed:] = block * 2 - 1
     return signs
 
 
@@ -76,14 +77,25 @@ def detailed_balance_test(
     The statistic is the energy distance between the sample of pairs and its
     coordinate-swapped mirror; the reference distribution flips each pair
     independently.  Swapping is an isometry of the plane, which collapses
-    each permutation statistic to the quadratic form ``(2/n^2) s^T G s``
-    over signs ``s``, with the gap matrix
+    each permutation statistic to a multiple of the quadratic form
+    ``s^T G s`` over signs ``s``, with the gap matrix
     ``G_ij = |a_i - T a_j| - |a_i - a_j|``.  ``T`` is an isometric
     involution, so ``G`` is symmetric and
-    ``s^T G s = sum_i G_ii + 2 sum_{i<j} s_i s_j G_ij``: only the upper
-    triangle is built, in strips of ``ROW_BLOCK`` rows straight from the
-    pair coordinates, and all permutations of a strip are evaluated with
+    ``s^T G s / 2 = sum_i G_ii / 2 + sum_{i<j} s_i s_j G_ij``: only the
+    upper triangle is built, in strips of ``ROW_BLOCK`` rows straight from
+    the pair coordinates, and all statistics of a strip are evaluated with
     one matrix product.
+
+    Distances and gaps are formed in double precision, where the gap's
+    difference cancels, and stored in single precision; the products with
+    the signs are single-precision (``sgemm``), and each strip's sum over
+    its rows is double-precision.  The observed statistic is the column of
+    all-ones signs of the same products, so it is computed exactly as the
+    permutation statistics are, and the p-value stays exact under
+    exchangeability.  The pairs are first scaled by a power of two that
+    brings their largest magnitude into ``[0.5, 1)``; the scaling is exact,
+    so it does not change the p-value, and it keeps the squares and the
+    single-precision gaps in range at any scale.
 
     The strips run in worker threads, one per CPU the process may use, in
     a pool created and joined within the call; their results are summed in
@@ -92,67 +104,66 @@ def detailed_balance_test(
     ``OPENBLAS_NUM_THREADS=1``); a multithreaded BLAS already spreads the
     products over the cores.  Scratch memory is
     ``O(workers * ROW_BLOCK * (n + n_permutations))`` besides the ``n`` by
-    ``n_permutations`` signs; no ``n`` by ``n`` matrix is held.
+    ``n_permutations + 1`` single-precision signs; no ``n`` by ``n``
+    matrix is held.
 
     At most ``max_pairs`` pairs enter the test (a uniform subsample is
-    drawn above that); fewer than 100 pairs is an error.
-    Returns a p-value that is exact under exchangeability.
+    drawn above that).  Fewer than 100 pairs, a ``max_pairs`` below 100,
+    no permutations or a pair that is not finite is an error.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must be an (n, 2) array")
     n = pairs.shape[0]
-    if n < 100:
-        raise ValueError(f"detailed balance test is underpowered below 100 pairs (got {n})")
+    if min(n, max_pairs) < 100:
+        raise ValueError(f"detailed balance test underpowered below 100 pairs: {n=}, {max_pairs=}")
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be at least 1, got {n_permutations}")
+    if not np.isfinite(pairs).all():
+        raise ValueError("pairs must be finite")
     if n > max_pairs:
         idx = rng.choice(n, size=max_pairs, replace=False)
         idx.sort()
         pairs = pairs[idx]
         n = max_pairs
 
-    signs = _signs(rng, n, n_permutations)
+    signs = _signs(rng, n, n_permutations, observed=True)
+    pairs = np.ldexp(pairs, -np.frexp(np.abs(pairs).max())[1])  # exact: max |pair| in [0.5, 1)
     x, y = pairs[:, 0], pairs[:, 1]
-    # Upper-triangle weights of a strip's diagonal block: 1 on the diagonal,
-    # 2 above it (each off-diagonal gap stands for G_ij and G_ji).
-    head_weights = np.triu(np.full((ROW_BLOCK, ROW_BLOCK), 2.0), 1) + np.eye(ROW_BLOCK)
+    # Upper-triangle weights of a strip's diagonal block: 1/2 on the
+    # diagonal, 1 above it, 0 below.
+    head_weights = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), "f")) - np.eye(ROW_BLOCK, dtype="f") / 2
 
     starts = range(0, n, ROW_BLOCK)
     workers = min(_worker_count(), len(starts))
     # Scratch rows per worker: a running strip holds one set, taken from and
     # given back to this list (list.pop and list.append are atomic).
-    sizes = (n, n, n, n_permutations)  # strip, within, scratch, product
-    free = [[np.empty(ROW_BLOCK * cols) for cols in sizes] for _ in range(workers)]
+    cols = (n, n, n, n, n_permutations + 1)  # cross, within, scratch, gaps, product
+    free = [[np.empty(ROW_BLOCK * c, t) for c, t in zip(cols, "dddff")] for _ in range(workers)]
 
-    def strip_terms(s0: int) -> tuple[float, np.ndarray]:
+    def strip_stats(s0: int) -> np.ndarray:
         b, m = min(ROW_BLOCK, n - s0), n - s0
         xi, yi, xj, yj = x[s0 : s0 + b, None], y[s0 : s0 + b, None], x[s0:], y[s0:]
         rows = free.pop()
-        strip, within, scratch, product = (
-            row[: b * cols].reshape(b, cols) for row, cols in zip(rows, (m, m, m, n_permutations))
+        cross, within, scratch, gaps, product = (
+            row[: b * c].reshape(b, c) for row, c in zip(rows, (m, m, m, m, n_permutations + 1))
         )
-        _distance_into(strip, scratch, xi, yj, yi, xj)
-        strip -= _distance_into(within, scratch, xi, xj, yi, yj)
-        strip[:, :b] *= head_weights[:b, :b]
-        strip[:, b:] *= 2.0
-        np.matmul(strip, signs[s0:], out=product)
-        terms = float(strip.sum()), np.einsum("ij,ij->j", signs[s0 : s0 + b], product)
+        _distance_into(cross, scratch, xi, yj, yi, xj)
+        np.subtract(cross, _distance_into(within, scratch, xi, xj, yi, yj), out=gaps)
+        gaps[:, :b] *= head_weights[:b, :b]
+        np.matmul(gaps, signs[s0:], out=product)
+        stats = np.einsum("ij,ij->j", signs[s0 : s0 + b], product, dtype=float)
         free.append(rows)
-        return terms
+        return stats
 
     from concurrent.futures import ThreadPoolExecutor  # not at import: it costs ~7 ms
-    total = 0.0
-    quad = np.zeros(n_permutations)
+    stats = np.zeros(n_permutations + 1)
     # Strip results are summed in strip order whatever the worker count; the
     # pool starts threads only when its map is used.
     with ThreadPoolExecutor(workers) as pool:
-        for strip_total, strip_quad in (pool.map if workers > 1 else map)(strip_terms, starts):
-            total += strip_total
-            quad += strip_quad
-
-    scale = 2.0 / (n * n)
-    observed = scale * total
-    stats = scale * quad
-    n_at_least = int(np.sum(stats >= observed - 1e-15))
+        for strip in (pool.map if workers > 1 else map)(strip_stats, starts):
+            stats += strip
+    n_at_least = int(np.sum(stats[1:] >= stats[0]))
     return (1 + n_at_least) / (1 + n_permutations)
 
 
@@ -294,7 +305,7 @@ def summarize_chain(
     The detailed-balance test (on at most ``DEFAULT_MAX_PAIRS`` pairs) and
     ESS are computed per default observable; moments carry batch-means
     standard errors over ``SUMMARY_BATCHES`` batches.  Chains too short for
-    a test report NaN for it.
+    a test, and observables that are not finite, report NaN for it.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     kept = positions[burn_in:]
@@ -313,7 +324,7 @@ def summarize_chain(
         ess_values[name] = value
         degenerate[name] = bool(flag)
         pairs = transition_pairs(series)
-        if pairs.shape[0] >= 100:
+        if pairs.shape[0] >= 100 and np.isfinite(series).all():
             pvalues[name] = detailed_balance_test(pairs, rng)
         else:
             pvalues[name] = float("nan")

@@ -109,11 +109,14 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     ``delta1`` (kicks, force ``f2(q)``) and ``delta2`` (drift, velocity map
     ``f1(v)``).
 
-    The force is evaluated once per position, the first read from ``z``'s
-    memo, and so is its kick ``delta1 f``: a step's closing kick and the
-    next step's opening kick share both.  The endpoint's memo holds its
-    force.  ``z``'s arrays are never written: the opening kick builds a new
-    velocity, and the closing kick adds into it in place.
+    The force is evaluated once per position, and so is its kick
+    ``delta1 f``: a step's closing kick and the next step's opening kick
+    share both.  The endpoint's memo holds its force under ``f2`` and its
+    kick under ``(f2, delta1)``, so the next trajectory from that position
+    with the same ``delta1`` starts with the kick already formed, and one
+    with another ``delta1`` forms its own from the memo's force.  ``z``'s
+    arrays are never written: the opening kick builds a new velocity, and
+    the closing kick adds into it in place.
 
     Raises :class:`DivergenceError` when the endpoint is not finite, checked
     once per trajectory.  That is the same as checking every point: a
@@ -126,8 +129,9 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ConfigurationError(f"leapfrog requires an integer n >= 1, got {n!r}")
-    f = np.asarray(z.cached(f2), dtype=float)
-    impulse = delta1 * f
+    impulse = (z.memo or {}).get((f2, delta1))
+    if impulse is None:
+        impulse = delta1 * np.asarray(z.cached(f2), dtype=float)
     q, v = z.q, z.v
     for _ in range(n):
         v = v + impulse
@@ -136,7 +140,7 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
         impulse = delta1 * f
         v += impulse
     _require_finite(q, v)
-    return _point((q, v, {f2: f}))
+    return _point((q, v, {f2: f, (f2, delta1): impulse}))
 
 
 def strang_hilbert(

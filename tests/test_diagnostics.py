@@ -54,10 +54,23 @@ def metropolis_ar1_pairs(rng, n, acceptance):
     return x.reshape(n, 2)
 
 
+def reference_pairs(rng, n, kind):
+    """``n`` pairs for the dense reference: ``metropolis_ar1_pairs`` with
+    acceptance ``kind`` (also for ``"offset"``, which is 1.0 there), or the
+    transition pairs of a slowly mixing AR(1) (coefficient 0.999)."""
+    if kind == "slow":
+        x = np.empty(n + 1)
+        x[0] = rng.standard_normal() / math.sqrt(1 - 0.999**2)
+        for k in range(n):
+            x[k + 1] = 0.999 * x[k] + rng.standard_normal()
+        return transition_pairs(x)
+    return metropolis_ar1_pairs(rng, n, 1.0 if kind == "offset" else kind)
+
+
 class TestDetailedBalanceTest:
     # Row-block edges (ROW_BLOCK = 128) and the default cap; 0.05 acceptance
     # leaves few pairs that flipping can move, so statistics tie often.
-    @pytest.mark.parametrize("acceptance", [1.0, 0.05])
+    @pytest.mark.parametrize("kind", [1.0, 0.05, "slow", "offset"])
     @pytest.mark.parametrize("n_permutations", [199, 999])
     @pytest.mark.parametrize(
         "n, max_pairs, seeds",
@@ -71,16 +84,26 @@ class TestDetailedBalanceTest:
             (700, 300, 3),
         ],
     )
-    def test_matches_dense_reference(self, n, max_pairs, seeds, n_permutations, acceptance):
+    def test_matches_dense_reference(self, n, max_pairs, seeds, n_permutations, kind):
         for seed in range(seeds):
-            pairs = metropolis_ar1_pairs(np.random.default_rng(seed), n, acceptance)
+            pairs = reference_pairs(np.random.default_rng(seed), n, kind)
+            reference_rng, rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+            # "offset" tests the pairs plus 1e6.  There the reference's
+            # expansion |a|^2 + |b|^2 - 2 a.b would cancel some twelve
+            # digits, so it gets the same points moved back by 1e6 (exact
+            # subtractions); moving both coordinates alike changes no
+            # distance.
+            tested = pairs + 1e6 if kind == "offset" else pairs
             expected = dense_gram_detailed_balance_test(
-                pairs, np.random.default_rng(100 + seed), n_permutations, max_pairs
+                tested - 1e6 if kind == "offset" else tested,
+                reference_rng,
+                n_permutations,
+                max_pairs,
             )
-            got = detailed_balance_test(
-                pairs, np.random.default_rng(100 + seed), n_permutations, max_pairs
-            )
+            got = detailed_balance_test(tested, rng, n_permutations, max_pairs)
             assert got == expected
+            # The same subsample and sign draws: the generators end alike.
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_exchangeable_pairs_hold_level(self):
         # Calibration: under exact exchangeability the test rejects at the
@@ -135,6 +158,43 @@ class TestDetailedBalanceTest:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             detailed_balance_test(np.ones((99, 2)), rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pairs(self, bad):
+        pairs = metropolis_ar1_pairs(np.random.default_rng(0), 300, 1.0)
+        pairs[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detailed_balance_test(pairs, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_permutations", [0, -1])
+    def test_no_permutations(self, n_permutations):
+        pairs = metropolis_ar1_pairs(np.random.default_rng(0), 300, 1.0)
+        with pytest.raises(ValueError, match="n_permutations"):
+            detailed_balance_test(pairs, np.random.default_rng(0), n_permutations)
+
+    @pytest.mark.parametrize("max_pairs", [10, 99])
+    def test_max_pairs_below_100(self, max_pairs):
+        pairs = metropolis_ar1_pairs(np.random.default_rng(0), 300, 1.0)
+        with pytest.raises(ValueError, match="underpowered"):
+            detailed_balance_test(pairs, np.random.default_rng(0), max_pairs=max_pairs)
+
+    def test_p_value_does_not_depend_on_scale(self):
+        # Unadjusted Langevin pairs (see test_detects_unadjusted_langevin)
+        # scaled by 2^k, exactly: every scale reads the unscaled p-value,
+        # though squares overflow from k = 512 and gaps fall far below 1e-15
+        # at k = -500.
+        rng = np.random.default_rng(3)
+        q, chain = 0.0, np.empty(1001)
+        for k in range(chain.size):
+            chain[k] = q
+            q = q - 2.0 * (-math.exp(-q) + 0.5) + 2.0 * rng.standard_normal()
+        pairs = transition_pairs(chain)
+        pvalues = []
+        for k in (-1000, -500, 0, 500, 1000):
+            scaled = np.ldexp(pairs, k)
+            assert np.array_equal(np.ldexp(scaled, -k), pairs)
+            pvalues.append(detailed_balance_test(scaled, np.random.default_rng(9), 199))
+        assert pvalues == [0.005] * 5
 
     def test_subsampling_path(self):
         rng = np.random.default_rng(1)
@@ -194,9 +254,9 @@ class TestStripWorkers:
     @pytest.mark.parametrize("n, n_permutations", [(100, 999), (129, 1), (300, 199)])
     def test_chunked_signs_match_one_draw(self, n, n_permutations):
         one, chunked = np.random.default_rng(4), np.random.default_rng(4)
-        expected = one.integers(0, 2, size=(n, n_permutations)).astype(float) * 2.0 - 1.0
+        expected = one.integers(0, 2, size=(n, n_permutations)).astype(np.float32) * 2.0 - 1.0
         got = invmh.diagnostics._signs(chunked, n, n_permutations)
-        assert np.array_equal(got, expected)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert chunked.random() == one.random()
 
     def test_import_loads_neither_thread_pools_nor_logging(self):
@@ -307,3 +367,14 @@ class TestSummarizeChain:
         assert all(se >= 0 for se in summary.mean_se)
         d = summary.to_dict()
         assert d["n_steps"] == 1999
+
+    def test_non_finite_observable_reads_nan(self):
+        # The squared norm overflows at one state; the first coordinate
+        # stays finite and is still tested.
+        rng = np.random.default_rng(43)
+        positions = rng.standard_normal((500, 2))
+        positions[250, 1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = summarize_chain(positions, np.ones(499, dtype=bool), rng)
+        assert math.isnan(summary.db_pvalue["sq_norm"])
+        assert 0.0 < summary.db_pvalue["coord_0"] <= 1.0

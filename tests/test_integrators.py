@@ -274,6 +274,21 @@ class TestKickFlowKickLoop:
             image, _ = strang_hilbert(n, delta1, delta2, force, z, lambda q, v, f, kick: None)
             assert same_bytes(image, momentum_flip(want[0]))
 
+    def test_endpoint_memo_carries_the_closing_kick(self, rng):
+        # A chain's next trajectory starts at the endpoint's position with a
+        # new velocity: it reads the kick for its own delta1 from the memo
+        # and forms any other from the memo's force, bit for bit as a start
+        # without a memo.
+        force, f1 = self.force, self.f1
+        end = leapfrog(2, 0.2, 0.3, f1, force, ExtendedPoint(*rng.standard_normal((2, 5))))
+        assert end.memo[(force, 0.2)].tobytes() == (0.2 * end.memo[force]).tobytes()
+        v = rng.standard_normal(5)
+        for delta1 in (0.2, -0.2, 0.1):
+            got = leapfrog(3, delta1, 0.3, f1, force, ExtendedPoint(end.q, v, end.memo))
+            want = reference_leapfrog(3, delta1, 0.3, f1, force, ExtendedPoint(end.q, v))
+            assert same_bytes(got, want)
+            assert got.memo[(force, delta1)].tobytes() == (delta1 * got.memo[force]).tobytes()
+
     @pytest.mark.parametrize("integrator", ["leapfrog", "strang_hilbert"])
     def test_infinite_force_at_a_middle_step_raises(self, integrator):
         # The force is infinite at z_2 only; with finite forces afterwards
