@@ -100,6 +100,16 @@ def _get(section: dict, path: str, key: str, kind, required=True, default=None):
     return float(value) if kind is float else value
 
 
+def _not_null(section: dict, path: str, key: str, default=None):
+    """``section[key]``, or ``default`` when absent, for the fields whose
+    values the library checks (numbers, lists or matrices).  JSON null,
+    which the library would read as NaN or a default, is rejected here, as
+    :func:`_get` rejects it."""
+    if key in section and section[key] is None:
+        _fail(f"{path}.{key}", "got None: give a value or omit the field")
+    return section.get(key, default)
+
+
 # ---------------------------------------------------------------------------
 # Sampler parameters and builders
 
@@ -120,7 +130,8 @@ def _hmc_config(spec: dict) -> Callable[[], HmcConfig]:
 
 
 def _rwmc(spec: dict, target, dim: int) -> InvolutiveKernel:
-    return _build("sampler.scale", rwmc, target, dim=dim, scale=spec.get("scale", 1.0))
+    # rwmc's default scale is 1.0.
+    return _build("sampler.scale", rwmc, target, dim=dim, scale=_not_null(spec, "sampler", "scale"))
 
 
 def _mala(spec: dict, target, dim: int) -> InvolutiveKernel:
@@ -129,7 +140,7 @@ def _mala(spec: dict, target, dim: int) -> InvolutiveKernel:
 
 def _hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
     make_cfg = _hmc_config(spec)
-    mass = np.asarray(spec["mass"], dtype=float) if "mass" in spec else None
+    mass = np.asarray(_not_null(spec, "sampler", "mass"), dtype=float) if "mass" in spec else None
     return hmc(target, make_cfg(), dim, mass=mass)
 
 
@@ -224,8 +235,8 @@ SAMPLERS = {
     "rwmc": Sampler("fd", _rwmc, ("scale",),
                     "random walk Metropolis; params: scale (number or list, default 1.0)"),
     "mala": Sampler("fd", _mala, ("delta",), "Metropolis-adjusted Langevin; params: delta"),
-    "hmc": Sampler("fd", _hmc, ("delta", "n", "mass"), "Hamiltonian Monte Carlo; "
-                   "params: delta, n (default 1), mass (diagonal list, optional)"),
+    "hmc": Sampler("fd", _hmc, ("delta", "n", "mass"), "Hamiltonian Monte Carlo; params: delta, "
+                   "n (default 1), mass (diagonal list or dense SPD matrix, optional)"),
     "relativistic_hmc": Sampler("fd", _relativistic_hmc, ("delta", "n", "m", "c"),
                                 "HMC with relativistic kinetic energy; "
                                 "params: delta, n (default 1), m (default 1.0), c (default 1.0)"),
@@ -348,7 +359,7 @@ def build_target(spec: dict):
         target = target_lib.hilbert_quartic(_reference(spec, "target"))
         return "hilbert", target, target.dim
     reference = _reference(spec, "target")  # hilbert_linear
-    coefficients = spec.get("coefficients", 1.0)
+    coefficients = _not_null(spec, "target", "coefficients", 1.0)
     target = _build("target.coefficients", target_lib.hilbert_linear, reference, coefficients)
     return "hilbert", target, target.dim
 

@@ -320,10 +320,9 @@ def hmc(
     N(0, M)."""
     require_finite(mass=mass)
     mass = _SPD(mass, dim, ConfigurationError)
-    return surrogate_hmc(
-        target, _kinetic_law(mass.sample, mass.half_quad, dim, gaussian_noise=True), cfg,
-        f1=mass.inv_apply, f2=_exact_force(target), dim=dim, name="hmc",
-    )
+    aux = _kinetic_law(mass.sample, mass.half_quad, dim, gaussian_noise=True)
+    kernel = surrogate_hmc(target, aux, cfg, f1=mass.inv_apply, f2=_exact_force(target), dim=dim)
+    return replace(kernel, name="hmc")
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +350,22 @@ def _relativistic_envelope(dim: int, m: float, c: float) -> tuple[float, float]:
     (m, c) = (1, 1), (1, 3), (10, 1)."""
     kappa = c * math.sqrt(2.0 * dim / (dim + math.sqrt(dim * dim + 4.0 * (m * c * c) ** 2)))
     return kappa, -m * c * math.sqrt(c * c - kappa * kappa)
+
+
+def _relativistic_in_range(dim: int, m: float, c: float) -> bool:
+    """Whether the momentum sampler's envelope and ``(m c)^2``, and the
+    kinetic energy and its gradient at the envelope's mean radius
+    ``dim / kappa``, are finite and (but for the log-bound) nonzero in
+    double precision."""
+    try:
+        kappa, log_bound = _relativistic_envelope(dim, m, c)
+        v = np.full(dim, math.sqrt(dim) / kappa)
+        with np.errstate(all="ignore"):
+            grad = relativistic_kinetic_grad(m, c, v)
+            values = [(m * c) ** 2, 1.0 / kappa, relativistic_kinetic(m, c, v), *grad]
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return math.isfinite(log_bound) and all(0.0 < abs(x) < math.inf for x in values)
 
 
 def _relativistic_momentum_sampler(
@@ -397,12 +412,13 @@ def relativistic_hmc(
     if m <= 0 or c <= 0:
         raise ConfigurationError("relativistic parameters m, c must be positive")
     require_count(dim=dim)
+    if not _relativistic_in_range(dim, m, c):  # before the parity check divides by 0
+        raise ConfigurationError(f"m = {m!r}, c = {c!r} are out of double-precision range")
     kinetic = functools.partial(relativistic_kinetic, m, c)
     aux = _kinetic_law(_relativistic_momentum_sampler(dim, m, c), kinetic, dim)
-    return surrogate_hmc(
-        target, aux, cfg, f1=functools.partial(relativistic_kinetic_grad, m, c),
-        f2=_exact_force(target), dim=dim, name="relativistic_hmc",
-    )
+    f1 = functools.partial(relativistic_kinetic_grad, m, c)
+    kernel = surrogate_hmc(target, aux, cfg, f1=f1, f2=_exact_force(target), dim=dim)
+    return replace(kernel, name="relativistic_hmc")
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +468,9 @@ def diagonal_quadratic_metric() -> PositionMetric:
 
 
 def _spread(dim: int, shift: float) -> np.ndarray:
-    """``dim`` distinct values in [-1, 1), a golden-ratio sequence: probe
-    points that need no random generator (and no import of numpy.random)
-    at kernel construction."""
+    """``dim`` distinct values in [-1, 1), a golden-ratio sequence (one row
+    per entry of a column of shifts): probe points that need no random
+    generator (and no import of numpy.random) at kernel construction."""
     return 2.0 * ((np.arange(1, dim + 1) * 0.6180339887498949 + shift) % 1.0) - 1.0
 
 
@@ -617,19 +633,14 @@ def rmhmc(
 
 
 def _f1_is_odd(f1, dim: int, points: bool) -> bool:
-    """Whether ``f1(-v) = -f1(v)`` within 1e-10 at 50 random velocities
-    and, for point fields (``points``), random positions shared by the two
-    points; drawn from a generator of its own."""
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = rng.standard_normal(dim)
-        if points:
-            q, memo = rng.standard_normal(dim), {}
-            plus, minus = f1(_point((q, v, memo))), f1(_point((q, -v, memo)))
-        else:
-            plus, minus = f1(v), f1(-v)
-        plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
-        if not np.all(np.isfinite(plus)) or np.max(np.abs(plus + minus)) > 1e-10:
+    """Whether ``f1(-v) = -f1(v)``, finite, within 1e-10 at 50 probe
+    velocities in [-3, 3)^dim and, for point fields (``points``), probe
+    positions shared by the two points (see :func:`_spread`)."""
+    shifts = np.arange(50)[:, None] / 50
+    for v, q in zip(3.0 * _spread(dim, shifts), 3.0 * _spread(dim, shifts + 0.5)):
+        memo = {}
+        pair = (_point((q, v, memo)), _point((q, -v, memo))) if points else (v, -v)
+        if not _max_abs(np.add(*map(f1, pair), dtype=float)) <= 1e-10:  # also if not finite
             return False
     return True
 
@@ -640,12 +651,10 @@ def surrogate_hmc(
     cfg: HmcConfig,
     f1=None,
     f2=None,
-    f1_odd: bool = False,
     scheme: str = "leapfrog",
     stages=None,
     volume_preserving: bool = True,
     dim: int | None = None,
-    name: str = "surrogate_hmc",
 ) -> InvolutiveKernel:
     """HMC-style kernel with arbitrary surrogate force fields.
 
@@ -657,17 +666,20 @@ def surrogate_hmc(
     times).  The Stormer-Verlet scheme steps with ``cfg.delta`` and the
     palindrome with its stages' times; both reject a config that sets
     ``delta1`` or ``delta2``, and the palindrome rejects ``f1`` and ``f2``.
-    The caller vouches for the parity of ``f1``, odd in ``v`` for
-    momentum-flip reversibility; ``f1_odd=True`` declares it, and it is then
-    spot-checked at construction (which requires ``dim``).  With ``dim``,
-    ``aux`` must draw ``(dim,)`` velocities: a declared ``aux.dim`` is
-    compared, an undeclared law is drawn from once at the origin.
+    ``f1`` must be odd in ``v`` for momentum-flip reversibility.  Given
+    ``dim``, that parity is spot-checked at construction, and ``aux`` must
+    draw ``(dim,)`` velocities: a declared ``aux.dim`` is compared, an
+    undeclared law is drawn from once at the origin.
 
     With ``volume_preserving=True`` the acceptance uses the energy
-    difference of ``H(z) = U(q) - aux.log_density_terms(z)``; the
-    surrogate fields may then disagree with ``grad H`` arbitrarily, the
-    accept-reject step corrects the bias.  Otherwise the Jacobian factor is
-    computed by finite differences, which requires ``dim`` and
+    difference of ``H(z) = U(q) - aux.log_density_terms(z)``, which holds
+    for a volume-preserving step.  Leapfrog's kick and drift are shears, so
+    its separable fields may disagree with ``grad H`` arbitrarily: the
+    accept-reject step corrects the bias.  The Stormer-Verlet step
+    preserves volume when its point fields come from one surrogate
+    Hamiltonian ``H~`` (``f1 = dH~/dv``, ``f2 = -dH~/dq``); other fields
+    need ``volume_preserving=False``.  The Jacobian factor is then computed
+    by finite differences, which requires ``dim`` and
     ``2 * dim <= JACOBIAN_CAP``.
     """
     if dim is not None:
@@ -676,13 +688,8 @@ def surrogate_hmc(
     d1, d2 = cfg.steps()
     if scheme in ("leapfrog", "stormer_verlet") and (f1 is None or f2 is None):
         raise ConfigurationError(f"{scheme} scheme requires f1 and f2")
-    if scheme == "palindrome" and (f1 is not None or f2 is not None or f1_odd):
-        raise ConfigurationError("the palindrome scheme does not read f1, f2 or f1_odd")
-    if f1_odd:
-        if dim is None:
-            raise ConfigurationError("a declared odd f1 is spot-checked, which requires dim")
-        if not _f1_is_odd(f1, dim, points=scheme == "stormer_verlet"):
-            raise ConfigurationError("declared parity f1(-v) = -f1(v) fails a spot check")
+    if scheme == "palindrome" and (f1 is not None or f2 is not None):
+        raise ConfigurationError("the palindrome scheme does not read f1 or f2")
     sets_steps = cfg.delta1 is not None or cfg.delta2 is not None
     if sets_steps and scheme in ("stormer_verlet", "palindrome"):
         raise ConfigurationError(f"the {scheme} scheme does not read delta1 or delta2")
@@ -698,6 +705,8 @@ def surrogate_hmc(
         integrator = palindromic_compose(stages, n=cfg.n)
     else:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
+    if f1 is not None and dim is not None and not _f1_is_odd(f1, dim, scheme == "stormer_verlet"):
+        raise ConfigurationError("f1 fails the parity spot check f1(-v) = -f1(v), or is not finite")
 
     logdet = None
     if not volume_preserving:
@@ -710,4 +719,4 @@ def surrogate_hmc(
         logdet = lambda z: numerical_logdet_jacobian(integrator, z, max_dim=JACOBIAN_CAP)
 
     involution = _energy_involution(target, aux, integrator, logdet=logdet)
-    return InvolutiveKernel(target=target, aux=aux, involution=involution, dim=dim, name=name)
+    return InvolutiveKernel(target, aux, involution, dim, name="surrogate_hmc")

@@ -1,7 +1,10 @@
 """Samplers for targets absolutely continuous with respect to a Gaussian
 reference on a Hilbert space: pCN, preconditioned MALA and HMC, and the
 generalized Langevin kernel, all as involutive kernels over a
-:class:`~invmh.gaussian.SpectralGaussian` truncation.
+:class:`~invmh.gaussian.SpectralGaussian` truncation.  Preconditioned
+MALA and the generalized Langevin kernel are one-step preconditioned HMC
+(:func:`inf_hmc`) under their own names; pCN, a rotation with no force, is
+built apart.
 
 The proposal integrator is the Strang splitting of the preconditioned
 dynamics ``dq/dt = v, dv/dt = -q - f(q)`` into a velocity shift by ``f``
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -265,16 +268,6 @@ def _hilbert_kernel(
     )
 
 
-def _strang_kernel(
-    target: HilbertTarget, aux: AuxLaw, delta1: float, delta2: float, n: int, name: str
-) -> InvolutiveKernel:
-    """``flip . strang`` with its closed-form log-RN (see
-    :func:`_strang_involution`)."""
-    steps = _kick_steps(target, delta1)
-    involution = lambda z: _strang_involution(target, aux, delta1, steps, delta2, n, z)
-    return _hilbert_kernel(target, aux, involution, name)
-
-
 def rho_from_delta(delta: float) -> float:
     """Crank-Nicolson contraction factor ``rho = (4 - delta)/(4 + delta)``."""
     if delta < 0:
@@ -338,24 +331,26 @@ def langevin_log_accept_ratio(
     return log_beta(target, delta, q_tilde, q) - log_beta(target, delta, q, q_tilde)
 
 
-def _langevin_kernel(target: HilbertTarget, delta: float, name: str) -> InvolutiveKernel:
+def _langevin_steps(delta: float) -> tuple[float, float]:
+    """The Langevin kernels' :func:`inf_hmc` steps ``delta1 = sqrt(delta)/2``
+    and ``delta2 = acos(rho)``.  A ``delta`` that is not positive, or so
+    small that ``rho`` rounds to 1, is rejected: its rotation would be 0 and
+    the chain could never move."""
     require_finite(delta=delta)
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
-    rho = rho_from_delta(delta)
-    delta1 = math.sqrt(delta) / 2.0
-    delta2 = math.acos(rho)
-    return _strang_kernel(target, AuxLaw(), delta1, delta2, 1, name)
+    delta2 = math.acos(rho_from_delta(delta)) if delta > 0 else 0.0
+    if delta2 == 0:
+        raise ConfigurationError(f"delta must be positive and leave rho < 1, got {delta!r}")
+    return math.sqrt(delta) / 2.0, delta2
 
 
 def inf_mala(target: HilbertTarget, delta: float) -> InvolutiveKernel:
-    """Preconditioned (dimension-robust) MALA: the one-step Strang scheme
+    """Preconditioned (dimension-robust) MALA: one-step :func:`inf_hmc`
     with ``delta1 = sqrt(delta)/2`` and ``delta2 = acos(rho)``, with force
     ``C grad(phi)``."""
     if target.phi.grad is None:
         raise ConfigurationError("inf_mala requires grad(phi)")
     exact = HilbertTarget(phi=target.phi, reference=target.reference, surrogate_f=None)
-    return _langevin_kernel(exact, delta, name="inf_mala")
+    return replace(inf_hmc(exact, AuxLaw(), *_langevin_steps(delta)), name="inf_mala")
 
 
 def gen_langevin(target: HilbertTarget, delta: float) -> InvolutiveKernel:
@@ -364,7 +359,7 @@ def gen_langevin(target: HilbertTarget, delta: float) -> InvolutiveKernel:
     step removes the surrogate bias."""
     if target.surrogate_f is None:
         raise ConfigurationError("gen_langevin requires an explicit surrogate force")
-    return _langevin_kernel(target, delta, name="gen_langevin")
+    return replace(inf_hmc(target, AuxLaw(), *_langevin_steps(delta)), name="gen_langevin")
 
 
 def inf_hmc(
@@ -376,11 +371,12 @@ def inf_hmc(
 ) -> InvolutiveKernel:
     """Preconditioned HMC over the Gaussian reference (the general splitting
     scheme).  The classical instance uses ``delta1 = delta/2`` and
-    ``delta2 = delta``; one step with the Langevin step sizes recovers the
-    preconditioned MALA kernel.  ``delta2`` is the rotation angle and
-    defaults to ``2 * delta1``.  It may be negative: a rotation run backwards
-    is still reversible, so the momentum flip still makes it an involution.
-    A zero rotation step is rejected (the chain could never move)."""
+    ``delta2 = delta``; :func:`inf_mala` and :func:`gen_langevin` are this
+    kernel with one step of the Langevin step sizes.  ``delta2`` is the
+    rotation angle and defaults to ``2 * delta1``.  It may be negative: a
+    rotation run backwards is still reversible, so the momentum flip still
+    makes it an involution.  A zero rotation step is rejected (the chain
+    could never move)."""
     require_finite(delta1=delta1, delta2=delta2)
     require_count(n=n)
     if delta1 < 0:
@@ -389,7 +385,10 @@ def inf_hmc(
         delta2 = 2.0 * delta1
     if delta2 == 0:
         raise ConfigurationError("rotation step delta2 must be nonzero: the chain could never move")
-    return _strang_kernel(target, aux, float(delta1), float(delta2), n, "inf_hmc")
+    delta1, delta2 = float(delta1), float(delta2)
+    steps = _kick_steps(target, delta1)
+    involution = lambda z: _strang_involution(target, aux, delta1, steps, delta2, n, z)
+    return _hilbert_kernel(target, aux, involution, "inf_hmc")
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,27 @@ class TestConfigErrors:
             {"name": "relativistic_hmc", "delta": 0.3, "mass": [2.0, 2.0]},
             "sampler.mass: unknown field for relativistic_hmc",
         ),
+        # JSON null in a number-or-list field the library checks.
+        "sampler.scale null": (
+            FD2,
+            {"name": "rwmc", "scale": None},
+            "sampler.scale: got None: give a value or omit the field",
+        ),
+        "sampler.mass null": (
+            FD2,
+            {"name": "hmc", "delta": 0.3, "mass": None},
+            "sampler.mass: got None: give a value or omit the field",
+        ),
+        "target.coefficients null": (
+            {**LINEAR, "coefficients": None},
+            PCN,
+            "target.coefficients: got None: give a value or omit the field",
+        ),
+        "relativistic parameters out of range": (
+            FD2,
+            {"name": "relativistic_hmc", "delta": 0.3, "m": 1e200},
+            "sampler: m = 1e+200, c = 1.0 are out of double-precision range",
+        ),
         "sampler.scale": (
             FD2,
             {"name": "rwmc", "scale": [1.0, 2.0, 3.0]},

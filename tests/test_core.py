@@ -151,6 +151,9 @@ class TestRunChain:
                 assert np.array_equal(chain.positions[k + 1], q), (entry.name, k)
                 assert chain.alphas[k] == result.alpha, (entry.name, k)
 
+    def test_kernels_are_named_after_their_samplers(self, kernel_zoo):
+        assert [e.kernel.name for e in kernel_zoo] == [e.name for e in kernel_zoo]
+
     @pytest.mark.parametrize("n_steps", [3.0, True, -1, "5", None])
     def test_rejects_a_bad_step_count_before_any_draw(self, rng, n_steps):
         state = rng.bit_generator.state

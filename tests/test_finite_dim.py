@@ -283,6 +283,18 @@ class TestRelativistic:
             relativistic_kinetic_grad(m, big_c, v), v / m, atol=1e-6
         )
 
+    @pytest.mark.parametrize("m", [1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e154, 1e200, 1e300])
+    def test_out_of_range_parameters_rejected_at_construction(self, m):
+        # Each pair either fails when built, or runs: its kinetic energy,
+        # gradient and momentum envelope neither overflow, underflow to 0
+        # nor divide by 0.
+        for c in (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e154, 1e200, 1e300):
+            try:
+                kernel = relativistic_hmc(standard_gaussian(2), m, c, HmcConfig(delta=0.3), 2)
+            except ConfigurationError:
+                continue
+            run_chain(kernel, np.zeros(2), 200, np.random.default_rng(0))
+
     def test_rejection_sampler_matches_quadrature(self):
         # Exactness of the Gamma-radius rejection sampler, d = 1.
         m, c = 1.3, 0.9
@@ -905,11 +917,16 @@ class TestOutOfRangeParameters:
             lambda: _palindrome_kernel(HmcConfig(delta=0.2, delta2=0.3)),
             # The palindrome steps with its stages, so forces would be ignored.
             lambda: _palindrome_kernel(HmcConfig(delta=0.2), f1=lambda v: v, f2=lambda q: -q),
-            lambda: _palindrome_kernel(HmcConfig(delta=0.2), f1_odd=True),
-            # A declared parity is spot-checked at dim, so it would never be.
+            # Given dim, f1's parity is spot-checked without being declared.
             lambda: surrogate_hmc(
                 standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.5),
-                f1=lambda v: v, f2=lambda q: -q, f1_odd=True,
+                f1=lambda v: v + 1.0, f2=lambda q: -q, dim=2,
+            ),
+            # rho rounds to 1, so the rotation would be 0.
+            lambda: inf_mala(default_hilbert_target(4), delta=1e-17),
+            lambda: gen_langevin(
+                dataclasses.replace(default_hilbert_target(4), surrogate_f=np.zeros_like),
+                delta=1e-17,
             ),
             lambda: hmc(standard_gaussian(2), HmcConfig(delta=0.5), dim=0),
             lambda: mala(standard_gaussian(2), delta=0.5, dim=0),
@@ -942,7 +959,7 @@ class TestOutOfRangeParameters:
             "inf_hmc.delta1=0", "inf_hmc.delta2=0", "stormer_verlet.delta=0",
             "stormer_verlet.delta1", "stormer_verlet.delta2",
             "palindrome.delta1", "palindrome.delta2", "palindrome.forces",
-            "palindrome.f1_odd", "surrogate_hmc.f1_odd_without_dim",
+            "surrogate_hmc.f1_not_odd", "inf_mala.delta=1e-17", "gen_langevin.delta=1e-17",
             "hmc.dim=0", "mala.dim=0", "relativistic_hmc.dim=0", "rmhmc.dim=0",
             "gaussian_momentum.dim=0", "gaussian_jump.dim=0", "surrogate_hmc.dim=0",
             "surrogate_hmc.dim=2.5", "power_law_eigenvalues.d=2.5", "rosenbrock.dim=2.5",
@@ -1146,26 +1163,59 @@ class TestSurrogateHmc:
         with pytest.raises(Exception):
             surrogate_hmc(
                 target, gaussian_momentum(2), HmcConfig(delta=0.3),
-                f1=lambda v: v + 1.0, f2=lambda q: -q, f1_odd=True, dim=2,
+                f1=lambda v: v + 1.0, f2=lambda q: -q, dim=2,
             )
         kernel = surrogate_hmc(
             target, gaussian_momentum(2), HmcConfig(delta=0.3),
-            f1=lambda v: v**3, f2=lambda q: -q, f1_odd=True, dim=2,
+            f1=lambda v: v**3, f2=lambda q: -q, dim=2,
         )
         assert kernel.name == "surrogate_hmc"
 
     def test_surrogate_field_with_stormer_verlet(self, rng):
-        # Point fields are spot-checked with points.
+        # Point fields are spot-checked with points.  These come from no one
+        # Hamiltonian, so the step does not preserve volume.
         target = standard_gaussian(2)
         kernel = surrogate_hmc(
             target, gaussian_momentum(2), HmcConfig(delta=0.2),
-            f1=lambda z: z.v / (1.0 + z.q**2), f2=lambda z: -z.q, f1_odd=True,
-            scheme="stormer_verlet", dim=2,
+            f1=lambda z: z.v / (1.0 + z.q**2), f2=lambda z: -z.q,
+            scheme="stormer_verlet", volume_preserving=False, dim=2,
         )
         for _ in range(30):
             z = ExtendedPoint(rng.standard_normal(2), rng.standard_normal(2))
             twice = kernel.involution.apply(kernel.involution.apply(z))
             assert point_norm(twice, z) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "scheme, f1, f2, volume_preserving",
+        [
+            # Separable fields: kick and drift are shears whatever they are.
+            ("leapfrog", lambda v: v + 0.3 * v**3, lambda q: -1.5 * q - np.sin(q), True),
+            # The point fields of H~ = |q|^2/2 + sum v^2 / (2 (1 + q^2)).
+            (
+                "stormer_verlet",
+                lambda z: z.v / (1.0 + z.q**2),
+                lambda z: -z.q + z.v**2 * z.q / (1.0 + z.q**2) ** 2,
+                True,
+            ),
+            # Not from one Hamiltonian: the step does not preserve volume.
+            ("stormer_verlet", lambda z: z.v / (1.0 + z.q**2), lambda z: -z.q, False),
+        ],
+        ids=["leapfrog", "stormer_verlet.hamiltonian", "stormer_verlet.numerical_jacobian"],
+    )
+    def test_surrogate_log_rn_matches_oracle(self, rng, scheme, f1, f2, volume_preserving):
+        # The energy form holds for leapfrog's separable fields and for
+        # Stormer-Verlet fields of one surrogate Hamiltonian; other
+        # Stormer-Verlet fields need the numerical Jacobian.
+        target = anisotropic_gaussian([1.0, 0.25])
+        kernel = surrogate_hmc(
+            target, gaussian_momentum(2), HmcConfig(delta=0.2, n=2), f1=f1, f2=f2,
+            scheme=scheme, volume_preserving=volume_preserving, dim=2,
+        )
+        ext = lambda q, v: -target.eval(q) - 0.5 * float(v @ v)
+        for _ in range(10):
+            z = ExtendedPoint(0.8 * rng.standard_normal(2), rng.standard_normal(2))
+            oracle = generic_log_rn(ext, kernel.involution.apply, z)
+            assert kernel.involution.log_rn(z) == pytest.approx(oracle, abs=1e-6)
 
     @pytest.mark.parametrize(
         "scheme, f1",
@@ -1176,7 +1226,7 @@ class TestSurrogateHmc:
         with pytest.raises(ConfigurationError, match="parity"):
             surrogate_hmc(
                 standard_gaussian(2), gaussian_momentum(2), HmcConfig(delta=0.2),
-                f1=f1, f2=f2, f1_odd=True, scheme=scheme, dim=2,
+                f1=f1, f2=f2, scheme=scheme, dim=2,
             )
 
     @pytest.mark.parametrize("scheme", ["leapfrog", "stormer_verlet"])

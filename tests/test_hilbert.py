@@ -462,8 +462,29 @@ class TestInfHmc:
             z = ExtendedPoint(target.reference.sample(rng), target.reference.sample(rng))
             a, la = kernel_hmc.involution.step(z)
             b, lb = kernel_mala.involution.step(z)
-            assert point_norm(a, b) <= 1e-12
-            assert la == pytest.approx(lb, abs=1e-12)
+            assert (a.q.tobytes(), a.v.tobytes()) == (b.q.tobytes(), b.v.tobytes())
+            assert la == lb
+
+    @pytest.mark.parametrize("build", [inf_mala, gen_langevin])
+    def test_langevin_kernels_are_renamed_one_step_inf_hmc(self, build):
+        # The same chain, bit for bit, as the one-step kernel of the
+        # Langevin step sizes; only the name differs.
+        base = default_hilbert_target(1024)
+        force = base.force()
+        surrogate = HilbertTarget(base.phi, base.reference, lambda q: 0.7 * force(q))
+        target = base if build is inf_mala else surrogate
+        delta = 0.6
+        one_step = inf_hmc(
+            target, AuxLaw(), math.sqrt(delta) / 2.0, math.acos(rho_from_delta(delta)), n=1
+        )
+        kernel = build(target, delta)
+        assert (kernel.name, one_step.name) == (build.__name__, "inf_hmc")
+        chains = [
+            run_chain(k, np.zeros(1024), 300, np.random.default_rng(11)) for k in (kernel, one_step)
+        ]
+        assert chains[0].accepted.any()
+        for field in ("positions", "alphas", "accepted"):
+            assert getattr(chains[0], field).tobytes() == getattr(chains[1], field).tobytes()
 
     def test_matched_diagonal_aux_equals_reference(self, rng):
         target = default_hilbert_target(3)
