@@ -27,9 +27,12 @@ chains through ``CliManyChains.run_round`` of ``perfbench/cli_workload.py``
 (imported, never changed; it holds the config name and chain count), and
 reports chain steps per second of ``invmh.cli.main`` time and a digest of
 every CSV and ``summary.json`` (without its ``directory`` field).  It then
-times ``detailed_balance_test`` on 2000 transition pairs of a seeded AR(1)
-series with the default 999 permutations, ``DB_TEST_CALLS`` calls with one
-strip worker and as many with two, and reports the median per call.
+reads the process's peak resident memory (``ru_maxrss``), times
+``detailed_balance_test`` on 2000 transition pairs of a seeded AR(1) series
+with the default 999 permutations, ``DB_TEST_CALLS`` calls with one strip
+worker and as many with two, and reports the median per call, and last
+the tracemalloc peak of one more call with two strip workers.  Both memory
+figures get quartiles and pairs won (lower wins), as the timings do.
 
 Two series are run per workload: ``--pairs`` pairs with one BLAS thread (as
 ``perfbench/run.py`` sets it), then ``--default-blas-pairs`` pairs with the
@@ -59,7 +62,7 @@ import io
 import json
 import os
 import platform
-import pstats
+import resource
 import subprocess
 import sys
 import tarfile
@@ -157,9 +160,17 @@ def _cli_rounds(seed: int, rounds: int, workdir: Path, runner=None):
     return sum(r.seconds for r in done), sum(r.steps for r in done), digest, workload
 
 
-def _db_test_ms(workers: int) -> float:
-    """Median milliseconds per ``detailed_balance_test`` call on
-    ``DB_TEST_PAIRS`` pairs with ``workers`` strip workers."""
+def _calls(profile: cProfile.Profile) -> int:
+    """Every call ``profile`` recorded, counted per code object: ``pstats``
+    keys functions by file, line and name, so it merges two lambdas on one
+    line and keeps the count of only one."""
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+def _db_test_calls(workers: int, calls: int, measure) -> list:
+    """``measure(call)`` of each of ``calls`` calls of ``detailed_balance_test``
+    on ``DB_TEST_PAIRS`` pairs with ``workers`` strip workers, where ``call``
+    makes one call."""
     import numpy as np
 
     from invmh import diagnostics
@@ -171,15 +182,49 @@ def _db_test_ms(workers: int) -> float:
     pairs = diagnostics.transition_pairs(x)
     count = diagnostics._worker_count
     diagnostics._worker_count = lambda: workers
-    times = []
     try:
-        for call in range(DB_TEST_CALLS):
-            start = time.perf_counter()
-            diagnostics.detailed_balance_test(pairs, np.random.default_rng(call))
-            times.append(time.perf_counter() - start)
+        return [
+            measure(lambda: diagnostics.detailed_balance_test(pairs, np.random.default_rng(i)))
+            for i in range(calls)
+        ]
     finally:
         diagnostics._worker_count = count
+
+
+def _db_test_ms(workers: int) -> float:
+    """Median milliseconds per ``detailed_balance_test`` call on
+    ``DB_TEST_PAIRS`` pairs with ``workers`` strip workers."""
+
+    def seconds(call):
+        start = time.perf_counter()
+        call()
+        return time.perf_counter() - start
+
+    times = _db_test_calls(workers, DB_TEST_CALLS, seconds)
     return 1e3 * sorted(times)[len(times) // 2]
+
+
+def _db_test_peak_mb(workers: int = 2) -> float:
+    """The tracemalloc peak, in MB, of one ``detailed_balance_test`` call on
+    ``DB_TEST_PAIRS`` pairs with ``workers`` strip workers."""
+    import tracemalloc
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    return _db_test_calls(workers, 1, peak)[0]
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory in MB, read as
+    ``perfbench/run.py`` reads its ``peak_rss_mb`` (``ru_maxrss`` in KB, as
+    Linux gives it)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def cli_side(src: str, args, mode: str) -> dict:
@@ -190,16 +235,19 @@ def cli_side(src: str, args, mode: str) -> dict:
         if mode == "time":
             seconds, steps, digest, workload = _cli_rounds(args.seed, args.rounds, Path(workdir))
             sampler = workload.config["sampler"]["name"]
+            peak_rss_mb = _peak_rss_mb()  # before the test calls below
             return {
                 "steps_per_s": steps / seconds,
                 "kernel_steps_per_s": {sampler: steps / seconds},
                 "db_test_ms": {str(w): _db_test_ms(w) for w in (1, 2)},
+                "peak_rss_mb": peak_rss_mb,
+                "db_test_peak_mb": _db_test_peak_mb(),
                 "digest": digest,
             }
         profile = cProfile.Profile()
         _, steps, _, workload = _cli_rounds(args.seed, args.rounds, Path(workdir), profile.runcall)
         sampler = workload.config["sampler"]["name"]
-        total = sum(entry[1] for entry in pstats.Stats(profile).stats.values())
+        total = _calls(profile)
         digests = {
             f"{seed}/{sampler}": _cli_rounds(seed, args.rounds, Path(workdir))[2]
             for seed in CHECK_SEEDS
@@ -230,7 +278,7 @@ def untimed_side(src: str, args) -> dict:
         profile = cProfile.Profile()
         profiled = lambda *chain_args: profile.runcall(invmh.run_chain, *chain_args)
         chain(profiled, i, kernel, args.seed, hashlib.sha256())
-        total = sum(entry[1] for entry in pstats.Stats(profile).stats.values())
+        total = _calls(profile)
         calls[name] = total / (args.rounds * args.steps)
         for seed in CHECK_SEEDS:
             digests[f"{seed}/{name}"] = chain(invmh.run_chain, i, kernel, seed, hashlib.sha256())
@@ -330,6 +378,12 @@ def run_series(sides: dict[str, Path], args, blas: str, pairs: int) -> dict:
             w: sum(run["working"]["db_test_ms"][w] < run["base"]["db_test_ms"][w] for run in runs)
             for w in runs[0]["base"]["db_test_ms"]
         }
+        for memory in ("peak_rss_mb", "db_test_peak_mb"):
+            for side in ("base", "working"):
+                series[side][memory] = quartiles([run[side][memory] for run in runs])
+            series[f"{memory}_working_won"] = sum(
+                run["working"][memory] < run["base"][memory] for run in runs
+            )
     base = series["base"]
     series["median_gain"] = series["working"]["median"] - base["median"]
     series["base_iqr"] = base["q3"] - base["q1"]
@@ -350,8 +404,9 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
     if args.workload == CLI_WORKLOAD:
         what = (
             "steps/s of invmh.cli.main over invmh run invocations of the cli_many_chains"
-            f" workload, and ms per detailed_balance_test call at {DB_TEST_PAIRS} pairs"
-            " with 1 and 2 strip workers"
+            f" workload, ms per detailed_balance_test call at {DB_TEST_PAIRS} pairs"
+            " with 1 and 2 strip workers, the peak RSS in MB after the invocations and"
+            " the tracemalloc peak in MB of one test call with 2 strip workers"
         )
     report = {
         "what": what,
@@ -385,6 +440,17 @@ def run_workload(sides: dict[str, Path], args, scratch: Path) -> dict:
                 f"    detailed_balance_test, {w} worker(s): {ms['median']:.1f} -> {after:.1f} ms"
                 f" per call, won {won}/{s['pairs']}"
             )
+        for memory, what in (
+            ("peak_rss_mb", "peak RSS after the invocations"),
+            ("db_test_peak_mb", "tracemalloc peak of one test call, 2 workers"),
+        ):
+            if memory in base:
+                before, after = base[memory], working[memory]
+                print(
+                    f"    {what}: {before['median']:.1f} [{before['q1']:.1f}, {before['q3']:.1f}]"
+                    f" -> {after['median']:.1f} [{after['q1']:.1f}, {after['q3']:.1f}] MB,"
+                    f" won {s[memory + '_working_won']}/{s['pairs']}"
+                )
     calls = report["calls_per_step"]
     for name, before in calls["base"].items():
         print(f"  {name}: {before:.1f} -> {calls['working'][name]:.1f} calls/step")

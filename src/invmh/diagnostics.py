@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -22,8 +23,12 @@ __all__ = [
 
 DEFAULT_PERMUTATIONS = 999
 DEFAULT_MAX_PAIRS = 2000
-# Rows of the gap matrix built at a time by detailed_balance_test.
+# detailed_balance_test builds the gap matrix ROW_BLOCK rows at a time, forms
+# a strip's double-precision distances COL_BLOCK columns at a time, and draws
+# the signs SIGN_BLOCK rows at a time.
 ROW_BLOCK = 128
+COL_BLOCK = 256
+SIGN_BLOCK = 32
 # Batches of summarize_chain's batch-means standard errors.
 SUMMARY_BATCHES = 20
 
@@ -45,13 +50,15 @@ def _worker_count() -> int:
 def _signs(rng: np.random.Generator, n: int, n_permutations: int, observed=False) -> np.ndarray:
     """``n`` by ``n_permutations`` random signs in single precision, the
     values and generator state of ``rng.integers(0, 2, size=(n, n_permutations)) * 2.0 - 1.0``
-    without its full-size temporaries: the integers are drawn in row
-    blocks, which consume the stream in the same order.  With ``observed``,
-    a column of ones, the observed statistic's signs, comes first."""
+    without its full-size temporaries: the integers are drawn in blocks of
+    ``SIGN_BLOCK`` rows, which consume the stream in the same order, and
+    each block is mapped to signs in place.  With ``observed``, a column of ones, the
+    observed statistic's signs, comes first."""
     signs = np.ones((n, observed + n_permutations), dtype=np.float32)
-    for r0 in range(0, n, ROW_BLOCK):
-        block = rng.integers(0, 2, size=(min(ROW_BLOCK, n - r0), n_permutations))
-        signs[r0 : r0 + ROW_BLOCK, observed:] = block * 2 - 1
+    for r0 in range(0, n, SIGN_BLOCK):
+        block = signs[r0 : r0 + SIGN_BLOCK, observed:]
+        block[...] = rng.integers(0, 2, size=block.shape)
+        np.subtract(np.multiply(block, 2, out=block), 1, out=block)
     return signs
 
 
@@ -83,8 +90,8 @@ def detailed_balance_test(
     involution, so ``G`` is symmetric and
     ``s^T G s / 2 = sum_i G_ii / 2 + sum_{i<j} s_i s_j G_ij``: only the
     upper triangle is built, in strips of ``ROW_BLOCK`` rows straight from
-    the pair coordinates, and all statistics of a strip are evaluated with
-    one matrix product.
+    the pair coordinates, ``COL_BLOCK`` columns at a time, and all
+    statistics of a strip are evaluated with one matrix product.
 
     Distances and gaps are formed in double precision, where the gap's
     difference cancels, and stored in single precision; the products with
@@ -99,13 +106,15 @@ def detailed_balance_test(
 
     The strips run in worker threads, one per CPU the process may use, in
     a pool created and joined within the call; their results are summed in
-    strip order, so the p-value does not depend on the worker count.  The
-    threads pay off when each BLAS call runs on one thread (for OpenBLAS,
-    ``OPENBLAS_NUM_THREADS=1``); a multithreaded BLAS already spreads the
-    products over the cores.  Scratch memory is
-    ``O(workers * ROW_BLOCK * (n + n_permutations))`` besides the ``n`` by
-    ``n_permutations + 1`` single-precision signs; no ``n`` by ``n``
-    matrix is held.
+    strip order, so the p-value does not depend on the worker count.  With
+    two or more workers the first strips build their gaps while the
+    calling thread draws the signs.  The threads pay off when each BLAS
+    call runs on one thread (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a
+    multithreaded BLAS already spreads the products over the cores.
+    Scratch memory is ``O(workers * ROW_BLOCK * (n + n_permutations))`` in
+    single precision and ``O(workers * ROW_BLOCK * COL_BLOCK)`` in double
+    precision, besides the ``n`` by ``n_permutations + 1`` single-precision
+    signs; no ``n`` by ``n`` matrix is held.
 
     At most ``max_pairs`` pairs enter the test (a uniform subsample is
     drawn above that).  Fewer than 100 pairs, a ``max_pairs`` below 100,
@@ -127,7 +136,6 @@ def detailed_balance_test(
         pairs = pairs[idx]
         n = max_pairs
 
-    signs = _signs(rng, n, n_permutations, observed=True)
     pairs = np.ldexp(pairs, -np.frexp(np.abs(pairs).max())[1])  # exact: max |pair| in [0.5, 1)
     x, y = pairs[:, 0], pairs[:, 1]
     # Upper-triangle weights of a strip's diagonal block: 1/2 on the
@@ -137,20 +145,27 @@ def detailed_balance_test(
     starts = range(0, n, ROW_BLOCK)
     workers = min(_worker_count(), len(starts))
     # Scratch rows per worker: a running strip holds one set, taken from and
-    # given back to this list (list.pop and list.append are atomic).
-    cols = (n, n, n, n, n_permutations + 1)  # cross, within, scratch, gaps, product
+    # given back to this list (list.pop and list.append are atomic).  The
+    # float64 cross, within and scratch rows hold one column chunk, the
+    # float32 gaps and product rows the whole strip.
+    cols = (COL_BLOCK, COL_BLOCK, COL_BLOCK, n, n_permutations + 1)
     free = [[np.empty(ROW_BLOCK * c, t) for c, t in zip(cols, "dddff")] for _ in range(workers)]
+    drawn = threading.Event()
 
     def strip_stats(s0: int) -> np.ndarray:
         b, m = min(ROW_BLOCK, n - s0), n - s0
-        xi, yi, xj, yj = x[s0 : s0 + b, None], y[s0 : s0 + b, None], x[s0:], y[s0:]
+        xi, yi = x[s0 : s0 + b, None], y[s0 : s0 + b, None]
         rows = free.pop()
-        cross, within, scratch, gaps, product = (
-            row[: b * c].reshape(b, c) for row, c in zip(rows, (m, m, m, m, n_permutations + 1))
-        )
-        _distance_into(cross, scratch, xi, yj, yi, xj)
-        np.subtract(cross, _distance_into(within, scratch, xi, xj, yi, yj), out=gaps)
+        gaps = rows[3][: b * m].reshape(b, m)
+        product = rows[4][: b * (n_permutations + 1)].reshape(b, -1)
+        for c0 in range(0, m, COL_BLOCK):
+            xj, yj = x[s0 + c0 : s0 + c0 + COL_BLOCK], y[s0 + c0 : s0 + c0 + COL_BLOCK]
+            cross, within, scratch = (row[: b * xj.size].reshape(b, -1) for row in rows[:3])
+            _distance_into(cross, scratch, xi, yj, yi, xj)
+            _distance_into(within, scratch, xi, xj, yi, yj)
+            np.subtract(cross, within, out=gaps[:, c0 : c0 + xj.size])
         gaps[:, :b] *= head_weights[:b, :b]
+        drawn.wait()
         np.matmul(gaps, signs[s0:], out=product)
         stats = np.einsum("ij,ij->j", signs[s0 : s0 + b], product, dtype=float)
         free.append(rows)
@@ -158,10 +173,17 @@ def detailed_balance_test(
 
     from concurrent.futures import ThreadPoolExecutor  # not at import: it costs ~7 ms
     stats = np.zeros(n_permutations + 1)
-    # Strip results are summed in strip order whatever the worker count; the
-    # pool starts threads only when its map is used.
+    # With two or more workers the strips start building their gaps while
+    # this thread draws the signs; one worker draws them first.  Strip
+    # results are summed in strip order whatever the worker count; the pool
+    # starts threads only when its map is used.
     with ThreadPoolExecutor(workers) as pool:
-        for strip in (pool.map if workers > 1 else map)(strip_stats, starts):
+        strips = (pool.map if workers > 1 else map)(strip_stats, starts)
+        try:
+            signs = _signs(rng, n, n_permutations, observed=True)
+        finally:
+            drawn.set()  # a failed draw leaves no strip waiting
+        for strip in strips:
             stats += strip
     n_at_least = int(np.sum(stats[1:] >= stats[0]))
     return (1 + n_at_least) / (1 + n_permutations)

@@ -335,6 +335,15 @@ def relativistic_kinetic(m: float, c: float, v: np.ndarray) -> float:
     return m * c * c * math.sqrt(r2 / (m * m * c * c) + 1.0)
 
 
+def _kinetic_above_rest(m: float, c: float, v: np.ndarray) -> float:
+    """``relativistic_kinetic(m, c, v) - m c^2`` as
+    ``|v|^2 / (m (sqrt(1 + |v|^2 / (m^2 c^2)) + 1))``, which cancels
+    nothing: the kernel's energy, whose differences a large rest energy
+    ``m c^2`` would otherwise round away."""
+    r2 = float(np.add.reduce(np.asarray(v) ** 2))
+    return r2 / (m * (math.sqrt(r2 / (m * m * c * c) + 1.0) + 1.0))
+
+
 def relativistic_kinetic_grad(m: float, c: float, v: np.ndarray) -> np.ndarray:
     """Gradient of the relativistic kinetic energy, an odd function of ``v``
     approaching ``v / m`` in the ``c -> inf`` limit."""
@@ -377,9 +386,13 @@ def _relativistic_momentum_sampler(
     uniform direction with Gamma(dim, 1/kappa) radius, ``0 < kappa <= c``.
     The log ratio ``kappa r - c sqrt(m^2 c^2 + r^2)`` is at most
     ``-m c sqrt(c^2 - kappa^2)``, its value at ``r = m c kappa /
-    sqrt(c^2 - kappa^2)``, an exact closed-form bound.
+    sqrt(c^2 - kappa^2)``, an exact closed-form bound.  The ratio is formed
+    as ``kappa r - (c sqrt(m^2 c^2 + r^2) - m c^2) - (m c^2 - m c sqrt(c^2 -
+    kappa^2))``, each bracket without cancellation, so a large rest energy
+    ``m c^2`` rounds none of it away.
     """
-    kappa, log_bound = _relativistic_envelope(dim, m, c)
+    kappa, _ = _relativistic_envelope(dim, m, c)
+    bound_above_rest = m * c * kappa * kappa / (c + math.sqrt(c * c - kappa * kappa))
 
     def sample(rng: np.random.Generator) -> np.ndarray:
         for _ in range(max_attempts):
@@ -388,7 +401,8 @@ def _relativistic_momentum_sampler(
             norm = math.sqrt(direction.dot(direction))
             if norm == 0.0 or r == 0.0:
                 continue
-            log_accept = kappa * r - c * math.sqrt((m * c) ** 2 + r * r) - log_bound
+            kinetic_above_rest = c * r * r / (math.sqrt((m * c) ** 2 + r * r) + m * c)
+            log_accept = kappa * r - kinetic_above_rest - bound_above_rest
             u = rng.random()
             if math.log(max(u, 1e-300)) < log_accept:
                 return (r / norm) * direction
@@ -406,15 +420,16 @@ def relativistic_hmc(
 
     The drift field is the kinetic gradient ``grad K``, an odd function, so
     the leapfrog stays momentum-flip reversible and the energy-difference
-    acceptance applies with ``H = U + K``.  It is :func:`surrogate_hmc` with
-    the exact force and momenta of density proportional to ``exp(-K)``."""
+    acceptance applies with ``H = U + K``, ``K`` measured from its rest value
+    ``m c^2``.  It is :func:`surrogate_hmc` with the exact force and momenta
+    of density proportional to ``exp(-K)``."""
     require_finite(m=m, c=c)
     if m <= 0 or c <= 0:
         raise ConfigurationError("relativistic parameters m, c must be positive")
     require_count(dim=dim)
     if not _relativistic_in_range(dim, m, c):  # before the parity check divides by 0
         raise ConfigurationError(f"m = {m!r}, c = {c!r} are out of double-precision range")
-    kinetic = functools.partial(relativistic_kinetic, m, c)
+    kinetic = functools.partial(_kinetic_above_rest, m, c)
     aux = _kinetic_law(_relativistic_momentum_sampler(dim, m, c), kinetic, dim)
     f1 = functools.partial(relativistic_kinetic_grad, m, c)
     kernel = surrogate_hmc(target, aux, cfg, f1=f1, f2=_exact_force(target), dim=dim)

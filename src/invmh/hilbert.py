@@ -458,15 +458,18 @@ def validate_aux_normalization(
 
 def quartic_bounded_phi(dim: int) -> TargetPotential:
     """The smooth, bounded-below potential ``|q|^4 / (2 (1 + |q|^2))`` used
-    throughout the statistical checks."""
+    throughout the statistical checks.  Above ``|q|^2 = 1e150`` the value
+    is ``|q|^2 / 2`` and the gradient ``q``, their correctly rounded values
+    there; so neither overflows before ``|q|^2`` does, and an infinite
+    ``|q|^2`` gives an infinite value and gradient instead of an error."""
 
     def eval_(q: np.ndarray) -> float:
         s = float(np.sum(q**2))
-        return 0.5 * s * s / (1.0 + s)
+        return 0.5 * s * s / (1.0 + s) if s <= 1e150 else 0.5 * s
 
     def grad(q: np.ndarray) -> np.ndarray:
         s = float(np.sum(q**2))
-        return q * (s * (s + 2.0) / (1.0 + s) ** 2)
+        return q * (s * (s + 2.0) / (1.0 + s) ** 2 if s <= 1e150 else 1.0)
 
     return TargetPotential(eval=eval_, grad=grad)
 

@@ -173,6 +173,30 @@ class TestRun:
         assert code == 2
         assert (outdir / "error.json").exists()
 
+    def test_overflowing_proposals_are_rejected(self, tmp_path):
+        # A reference of variance 1e300 draws proposals with |q|^2 past
+        # 1e154, where the quartic potential's gradient once raised an
+        # OverflowError: they are rejected and the run ends normally.
+        outdir = tmp_path / "out"
+        config = {
+            "target": {
+                "name": "hilbert_quartic",
+                "eigenvalues": {"power_law": {"d": 10, "c": 1e300, "p": 2.0}},
+            },
+            "sampler": {"name": "gen_langevin", "delta": 0.5},
+            "run": {"n_steps": 200, "burn_in": 0, "n_chains": 1, "seed": 3},
+            "output": {"directory": str(outdir)},
+        }
+        assert run(config) == 0
+
+        def non_finite(text):
+            raise AssertionError(f"summary.json holds {text}")
+
+        json.loads((outdir / "summary.json").read_text(), parse_constant=non_finite)
+        rows = (outdir / "chain_000.csv").read_text().splitlines()[2:]
+        values = [float(x) for row in rows for x in row.split(",")]
+        assert len(values) == 200 * 13 and all(math.isfinite(x) for x in values)
+
     def test_thinning_subsamples_rows(self, tmp_path):
         outdir = tmp_path / "out"
         config = rwmc_config(str(outdir), n_steps=100)

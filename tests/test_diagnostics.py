@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,8 @@ def reference_pairs(rng, n, kind):
 
 
 class TestDetailedBalanceTest:
-    # Row-block edges (ROW_BLOCK = 128) and the default cap; 0.05 acceptance
+    # Row-block edges (ROW_BLOCK = 128), strips that straddle column chunks
+    # (COL_BLOCK = 256: 257 and 513) and the default cap; 0.05 acceptance
     # leaves few pairs that flipping can move, so statistics tie often.
     @pytest.mark.parametrize("kind", [1.0, 0.05, "slow", "offset"])
     @pytest.mark.parametrize("n_permutations", [199, 999])
@@ -80,6 +82,7 @@ class TestDetailedBalanceTest:
             (128, 2000, 3),
             (129, 2000, 3),
             (257, 2000, 3),
+            (513, 2000, 3),
             (2000, 2000, 1),
             (700, 300, 3),
         ],
@@ -250,6 +253,47 @@ class TestStripWorkers:
         before = threading.active_count()
         self.run(monkeypatch, 3, pairs)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_sign_draw_raises_and_leaves_no_thread(self, monkeypatch, workers):
+        # The strips of two or more workers start before the signs are
+        # drawn and wait for them; a failed draw must release them.
+        def fail(*args, **kwargs):
+            raise RuntimeError("sign draw failed")
+
+        monkeypatch.setattr(invmh.diagnostics, "_signs", fail)
+        pairs = metropolis_ar1_pairs(np.random.default_rng(2), 600, 1.0)
+        before = threading.active_count()
+        raised = []
+
+        def call():
+            try:
+                self.run(monkeypatch, workers, pairs)
+            except RuntimeError as error:
+                raised.append(error)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive(), "the call still waits for the signs"
+        assert [str(error) for error in raised] == ["sign draw failed"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_scratch_memory(self, monkeypatch, workers):
+        # 2000 pairs and 999 permutations: 8 MB of single-precision signs,
+        # and per worker a float32 gap strip (1 MB), a float32 product
+        # (0.5 MB) and three float64 column chunks (0.8 MB).  Strips as wide
+        # as the gap matrix in double precision took 16.0, 23.8 and 39.4 MB.
+        pairs = metropolis_ar1_pairs(np.random.default_rng(3), 2000, 1.0)
+        self.run(monkeypatch, workers, pairs)  # imports the pool beforehand
+        tracemalloc.start()
+        try:
+            self.run(monkeypatch, workers, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (10.0 + 2.5 * workers) * 1e6
 
     @pytest.mark.parametrize("n, n_permutations", [(100, 999), (129, 1), (300, 199)])
     def test_chunked_signs_match_one_draw(self, n, n_permutations):

@@ -39,6 +39,7 @@ from invmh import (
     rwmc,
     surrogate_hmc,
 )
+from invmh.diagnostics import moment_check
 from invmh.finite_dim import (
     relativistic_kinetic,
     relativistic_kinetic_grad,
@@ -294,6 +295,37 @@ class TestRelativistic:
             except ConfigurationError:
                 continue
             run_chain(kernel, np.zeros(2), 200, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m, c", [(1e6, 1e6), (1e8, 1e8)])
+    def test_energy_differences_survive_a_large_rest_energy(self, m, c):
+        # K(v) - K(0) at |v|^2 = m / 4 is 1/8 whatever the rest energy m c^2:
+        # measured from m c^2 = 1e18 or 1e24 it must not round to 0.
+        kernel = relativistic_hmc(standard_gaussian(2), m, c, HmcConfig(delta=0.3), 2)
+        terms = lambda v: kernel.aux.log_density_terms(ExtendedPoint(np.zeros(2), v))
+        difference = terms(np.array([0.5 * math.sqrt(m), 0.0])) - terms(np.zeros(2))
+        assert difference == pytest.approx(-0.125, rel=1e-9)
+
+    @pytest.mark.parametrize("m, c", [(1e6, 1e6), (1e8, 1e8)])
+    def test_sampler_at_a_large_rest_energy(self, m, c):
+        # In two dimensions |v| has density proportional to
+        # r exp(-(K(r) - m c^2)); K - m c^2 is formed without cancellation.
+        r = math.sqrt(m) * np.linspace(0.0, 20.0, 200_001)[1:]
+        weights = r * np.exp(-r * r / (m * (np.sqrt(1.0 + (r / (m * c)) ** 2) + 1.0)))
+        true_sq = np.trapezoid(r**2 * weights, r) / np.trapezoid(weights, r)
+        sampler = _relativistic_momentum_sampler(2, m, c)
+        rng = np.random.default_rng(8)
+        squares = np.array([float(v @ v) for v in (sampler(rng) for _ in range(4000))])
+        se = np.std(squares) / math.sqrt(squares.size)
+        assert abs(np.mean(squares) - true_sq) <= 4 * se
+
+    def test_chain_at_a_large_rest_energy(self):
+        # delta = 1.8 sqrt(m) gives the dynamics of unit mass at delta = 1.8,
+        # so the chain must still sample N(0, I).
+        m = c = 1e6
+        kernel = relativistic_hmc(standard_gaussian(2), m, c, HmcConfig(delta=1.8e3), 2)
+        chain = run_chain(kernel, np.zeros(2), 4000, np.random.default_rng(1))
+        report = moment_check(chain.positions[1:], np.zeros(2), np.ones(2), batch_count=20)
+        assert np.all(np.abs(report.var_z) <= 4.0)
 
     def test_rejection_sampler_matches_quadrature(self):
         # Exactness of the Gamma-radius rejection sampler, d = 1.

@@ -57,6 +57,21 @@ def test_quartic_phi_gradient(rng):
     assert_grad_consistent(quartic_bounded_phi(4), rng.standard_normal((10, 4)))
 
 
+@pytest.mark.parametrize(
+    "q", [[1e75, 0.0], [math.sqrt(1e155), 0.0], [1e150, 0.0], [1e200, 1e200], [math.inf, 1.0]]
+)
+def test_quartic_phi_far_from_the_origin(q):
+    # |q|^2 = 1e150, 1e155, 1e300 and two infinite ones: the potential is
+    # |q|^2 / 2 and the gradient q there to rounding, or infinite, but never
+    # NaN or an OverflowError.
+    phi, q = quartic_bounded_phi(2), np.array(q)
+    with np.errstate(over="ignore"):
+        sq_norm = float(np.sum(q**2))
+        value, grad = phi.eval(q), phi.grad(q)
+    assert value == pytest.approx(sq_norm / 2, rel=1e-12)
+    np.testing.assert_allclose(grad, q, rtol=1e-12)
+
+
 class TestHilbertLogRn:
     def test_zero_force_reduces_to_phi_difference(self, rng):
         target = HilbertTarget(
