@@ -168,6 +168,7 @@ def _surrogate_hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
         f1=lambda v: v,
         f2=lambda q: -scale * np.asarray(grad(q), dtype=float),
         dim=dim,
+        batch=True,
     )
 
 
@@ -425,27 +426,37 @@ def _chain_rngs(seed: int, chain_index: int):
     return sampling, diagnostics
 
 
-def _chain_task(config_text: str, chain_index: int, out_dir: str) -> dict:
-    """Run one chain of the resolved config (worker-safe: rebuilds
-    everything from it)."""
+def _chains_task(config_text: str, chains: range, out_dir: str) -> list[dict]:
+    """Run the chains ``chains`` of the resolved config and write their
+    CSVs and summaries (worker-safe: rebuilds everything from it).  A batch
+    kernel steps two or more as one batch (a batch of one is slower than a
+    single chain); otherwise they run one at a time, each written before
+    the next starts.  The bytes are the same either way."""
     config = json.loads(config_text)
     kind, target, dim = build_target(config["target"])
     kernel = build_kernel(config["sampler"], kind, target, dim)
     run_spec = config["run"]
     q0 = np.asarray(run_spec.get("q0", np.zeros(dim)), dtype=float)
-    sampling_rng, diag_rng = _chain_rngs(run_spec["seed"], chain_index)
-    result = run_chain(kernel, q0, run_spec["n_steps"], sampling_rng)
-    _write_chain_csv(
-        Path(out_dir) / f"chain_{chain_index:03d}.csv",
-        result.positions,
-        result.alphas,
-        result.accepted,
-        config["output"]["thinning"],
-    )
-    summary = summarize_chain(
-        result.positions, result.accepted, diag_rng, burn_in=run_spec["burn_in"]
-    )
-    return {"chain": chain_index, **summary.to_dict()}
+    n_steps = run_spec["n_steps"]
+    sampling, diagnostics = zip(*(_chain_rngs(run_spec["seed"], c) for c in chains))
+    if kernel.batch and len(chains) > 1:
+        results = run_chain(kernel, np.tile(q0, (len(chains), 1)), n_steps, sampling)
+    else:
+        results = (run_chain(kernel, q0, n_steps, rng) for rng in sampling)
+    summaries = []
+    for c, result, diag_rng in zip(chains, results, diagnostics):
+        _write_chain_csv(
+            Path(out_dir) / f"chain_{c:03d}.csv",
+            result.positions,
+            result.alphas,
+            result.accepted,
+            config["output"]["thinning"],
+        )
+        summary = summarize_chain(
+            result.positions, result.accepted, diag_rng, burn_in=run_spec["burn_in"]
+        )
+        summaries.append({"chain": c, **summary.to_dict()})
+    return summaries
 
 
 def run(
@@ -487,7 +498,13 @@ def run(
         q0 = resolved["run"].get("q0")
         if q0 is not None and (len(q0) != dim or not all(map(_is_finite_number, q0))):
             raise ConfigError(f"run.q0: expected a list of {dim} finite numbers, got {q0!r}")
-        build_kernel(resolved["sampler"], kind, target, dim)
+        kernel = build_kernel(resolved["sampler"], kind, target, dim)
+        # Every chain starts there: a zero density would stop each one.
+        with np.errstate(all="ignore"):
+            start_value = kernel.target.eval(np.zeros(dim) if q0 is None else np.array(q0, float))
+        if not np.isfinite(start_value):
+            start = "the default origin (run.q0 absent)" if q0 is None else repr(q0)
+            raise ConfigError(f"run.q0: the target has zero density at {start}")
 
         directory = (
             output_dir
@@ -504,14 +521,18 @@ def run(
     out_path.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(resolved, sort_keys=True)
 
-    task = partial(_chain_task, config_text, out_dir=str(out_path))
+    task = partial(_chains_task, config_text, out_dir=str(out_path))
+    # One contiguous block of chains per worker, the larger blocks first.
+    n = resolved["run"]["n_chains"]
+    k = min(workers, n)
+    blocks = [range(-(-n * i // k), -(-n * (i + 1) // k)) for i in range(k)]
     try:
-        # Chains in index order, serially or in worker processes.
+        # Blocks in index order, serially or in worker processes.
         if workers > 1:  # imported here: it costs 16-32 ms at start-up
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            chain_map = pool.map if pool else map
-            summaries = list(chain_map(task, range(resolved["run"]["n_chains"])))
+            block_map = pool.map if pool else map
+            summaries = [entry for block in block_map(task, blocks) for entry in block]
     except Exception as exc:  # noqa: BLE001 - converted to exit code + report
         report = {"error": str(exc), "type": type(exc).__name__, "config": resolved}
         (out_path / "error.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -15,6 +15,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -80,6 +81,21 @@ def _max_abs(array) -> float:
     """``max |array|``, or NaN if an entry is NaN."""
     size = abs(array)
     return size.item(size.argmax())
+
+
+def _row_sum(array) -> float | np.ndarray:
+    """The sum of ``array`` along its last axis: a float for a vector, a
+    ``(C,)`` array for a ``(C, d)`` batch, whose rows have the vector's
+    bits."""
+    return float(np.add.reduce(array)) if array.ndim == 1 else np.add.reduce(array, axis=-1)
+
+
+def _row_dot(v, w) -> float | np.ndarray:
+    """``v . w`` row by row: a float for vectors, a ``(C,)`` array for
+    ``(C, d)`` batches.  A batch takes stacked matmuls, which give each
+    row ``v[c].dot(w[c])``'s bits; a row-wise ``add.reduce(v * w)`` or
+    ``einsum`` need not."""
+    return float(v.dot(w)) if v.ndim == 1 else (v[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def require_count(minimum: int = 1, /, **parameters) -> None:
@@ -223,6 +239,11 @@ class InvolutiveKernel:
 
     ``dim``, when set, is the position dimension and is checked against the
     state passed to :func:`mh_step`.
+
+    ``batch`` declares that the target, the auxiliary law and the involution
+    act row by row on a ``(C, d)`` batch of positions and velocities, with
+    ``(C,)`` potentials and log-RNs, so that :func:`run_chain` may step C
+    chains as one batch.
     """
 
     target: TargetPotential
@@ -230,6 +251,7 @@ class InvolutiveKernel:
     involution: Involution
     dim: int | None = None
     name: str = field(default="", compare=False)
+    batch: bool = False
 
 
 class StepResult(NamedTuple):
@@ -271,6 +293,10 @@ def mh_step(
     ``memo`` is the memo of ``q`` returned by the previous step of the same
     chain (``StepResult.memo``); passing it lets the kernel reuse the work
     done there instead of repeating it, and changes no result.
+
+    For a ``batch`` kernel, ``q`` may be a ``(C, d)`` batch of states and
+    ``rng`` the batch's draw source (see :func:`run_chain`); ``alpha`` and
+    ``accepted`` are then ``(C,)`` arrays.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _step(kernel, q, rng, {} if memo is None else memo)
@@ -280,12 +306,15 @@ def _step(
     kernel: InvolutiveKernel, q: np.ndarray, rng: np.random.Generator, memo: dict
 ) -> StepResult:
     q = np.asarray(q, dtype=float)
-    if kernel.dim is not None and q.shape != (kernel.dim,):
+    batch = kernel.batch and q.ndim == 2
+    if kernel.dim is not None and q.shape[batch:] != (kernel.dim,):  # a batch: its rows
         raise ConfigurationError(
             f"state has shape {q.shape}, kernel expects ({kernel.dim},)"
         )
     v = kernel.aux.sample(_point((q, None, memo)), rng)
     z = _point((q, np.asarray(v, dtype=float), memo))
+    if batch:
+        return _batch_step(kernel, z, rng)
     try:
         image, log_rn = kernel.involution.apply_and_log_rn(z)
         proposal = np.asarray(image.q, dtype=float)
@@ -298,6 +327,32 @@ def _step(
     if rng.random() < alpha:
         return StepResult(proposal, alpha, True, proposal, {} if image.memo is None else image.memo)
     return StepResult(proposal, alpha, False, q, memo)
+
+
+def _batch_step(kernel: InvolutiveKernel, z: ExtendedPoint, rows: _Rows) -> StepResult:
+    """The rest of :func:`_step` for a batch ``z``: every row is accepted
+    or rejected as its own chain's step would be, by a mask, and the next
+    memo holds the keys that both the image's memo and ``z``'s hold, merged
+    row by row (others are recomputed, to the same bits).  When the batch's
+    involution raises :class:`IntegrationError`, each row's step is redone
+    alone from the same draws, and the next memo is empty."""
+    q, memo = z.q, z.memo
+    try:
+        image, log_rn = kernel.involution.apply_and_log_rn(z)
+    except IntegrationError:
+        steps = [_step(kernel, row, rows.replay(c), {})[:4] for c, row in enumerate(q)]
+        return StepResult(*map(np.array, zip(*steps)), {})
+    proposal = np.asarray(image.q, dtype=float)
+    finite = np.isfinite(proposal).all(axis=-1).tolist()
+    alpha = np.array([accept_prob(x) if ok else 0.0 for x, ok in zip(log_rn.tolist(), finite)])
+    accepted = rows.random() < alpha
+    column = accepted[:, None]
+    merged = {
+        key: np.where(column if value.ndim == 2 else accepted, value, memo[key])
+        for key, value in (image.memo or {}).items()
+        if key in memo
+    }
+    return StepResult(proposal, alpha, accepted, np.where(column, proposal, q), merged)
 
 
 @dataclass(frozen=True)
@@ -398,6 +453,31 @@ class _NoiseSource:
         self._executor.shutdown(cancel_futures=True)
 
 
+class _Rows:
+    """The draws of a batch of chains, one generator per chain:
+    ``standard_normal(d)`` stacks each generator's draw into a ``(C, d)``
+    array and ``random()`` gives each generator's uniform, a ``(C,)``
+    array, so every generator makes the calls of its chain run alone (the
+    ``gaussian_noise`` contract).  ``replay(c)`` is chain ``c``'s source for
+    a redo of the step: the normal drawn last, then its own uniform."""
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self._rngs = rngs
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        self._normals = np.empty((len(self._rngs), size))
+        for rng, row in zip(self._rngs, self._normals):
+            rng.standard_normal(out=row)  # standard_normal(size)'s draw, in place
+        return self._normals
+
+    def random(self) -> np.ndarray:
+        return np.array([rng.random() for rng in self._rngs])
+
+    def replay(self, c: int):
+        normal = self._normals[c]
+        return SimpleNamespace(standard_normal=lambda size: normal, random=self._rngs[c].random)
+
+
 def _draws(aux: AuxiliaryKernel, rng: np.random.Generator, n_steps: int):
     """The source of a chain's draws, as a context manager: a
     :class:`_NoiseSource`, whose executor thread draws ahead, for a declared
@@ -418,8 +498,8 @@ def run_chain(
     kernel: InvolutiveKernel,
     q0: np.ndarray,
     n_steps: int,
-    rng: np.random.Generator,
-) -> ChainResult:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> ChainResult | list[ChainResult]:
     """Run ``n_steps`` Metropolis steps from ``q0``.
 
     Deterministic given (kernel, q0, rng state).  The starting point must
@@ -440,27 +520,53 @@ def run_chain(
     executor is shut down and its thread joined before ``run_chain``
     returns or raises; after an exception the generator may have advanced
     by the steps drawn ahead.
+
+    A ``batch`` kernel (see :class:`InvolutiveKernel`) also takes a batch:
+    a ``(C, d)`` start ``q0`` and a sequence of C generators.  Each
+    iteration steps the C chains as one ``(C, d)`` array through
+    :func:`mh_step`, and the result is one :class:`ChainResult` per chain,
+    chain ``c``'s equal to ``run_chain(kernel, q0[c], n_steps, rng[c])``
+    bit for bit.  A batch for another kernel, and a potential or energy
+    that does not come back with shape ``(C,)`` at the start, raise
+    :class:`ConfigurationError` before any draw.
     """
     require_count(0, n_steps=n_steps)
     q = np.asarray(q0, dtype=float)
-    d = q.shape[0]
-    positions = np.empty((n_steps + 1, d))
-    alphas = np.empty(n_steps)
-    accepted = np.zeros(n_steps, dtype=bool)
+    batch = q.ndim == 2
+    positions = np.empty((n_steps + 1, *q.shape))
+    alphas = np.empty((n_steps, *q.shape[:-1]))
+    accepted = np.zeros(alphas.shape, dtype=bool)
     positions[0] = q
+    if batch and not (kernel.batch and isinstance(rng, (list, tuple)) and len(rng) == len(q)):
+        raise ConfigurationError(
+            f"a batch of {len(q)} chains needs a batch kernel ({kernel.name or 'this kernel'}"
+            f" is {'' if kernel.batch else 'not '}one) and a list of {len(q)} generators"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         start_value = kernel.target.eval(q)
-    if not np.isfinite(start_value):
+        # The energy's auxiliary terms, at zero velocity.
+        terms = kernel.aux.log_density_terms(_point((q, 0.0 * q, {}))) if batch else None
+    if batch and not np.shape(start_value) == np.shape(terms) == q.shape[:1]:
+        raise ConfigurationError(
+            f"a batch of {len(q)} chains needs ({len(q)},) potentials and energies, got"
+            f" shapes {np.shape(start_value)} and {np.shape(terms)}"
+        )
+    if not np.isfinite(start_value).all():
         raise ConfigurationError("chain started at a point of zero target density")
     memo = {kernel.target.eval: start_value}
-    with _draws(kernel.aux, rng, n_steps) as draws:
+    with contextlib.nullcontext(_Rows(rng)) if batch else _draws(kernel.aux, rng, n_steps) as draws:
         for k in range(n_steps):
             result = mh_step(kernel, q, draws, memo)
             q, memo = result.next, result.memo
             positions[k + 1] = q
             alphas[k] = result.alpha
             accepted[k] = result.accepted
-    return ChainResult(positions=positions, alphas=alphas, accepted=accepted)
+    if not batch:
+        return ChainResult(positions=positions, alphas=alphas, accepted=accepted)
+    # Each chain's arrays C-contiguous, so that sums over them round as a
+    # single chain's do.
+    chains = (np.ascontiguousarray(np.moveaxis(a, 1, 0)) for a in (positions, alphas, accepted))
+    return [ChainResult(*arrays) for arrays in zip(*chains)]
 
 
 def involution_from_proposal_map(

@@ -28,9 +28,12 @@ from .core import (
     Involution,
     InvolutiveKernel,
     TargetPotential,
+    _finite,
     _least,
     _max_abs,
     _point,
+    _row_dot,
+    _row_sum,
     require_count,
     require_finite,
     require_vector,
@@ -113,13 +116,19 @@ class _SPD:
     ``inv_apply`` are bound to the matrix's kind when it is built.
 
     ``error`` is raised when ``value`` is not SPD (a NaN diagonal entry is
-    not positive) or not of dimension ``dim``: :class:`ConfigurationError`
-    for a constant mass, which fails at construction, :class:`DivergenceError`
-    for a metric, which rejects the step that met it.  A constant mass is
+    not positive), not of dimension ``dim`` or has no finite inverse (a
+    message that names it ``name``): :class:`ConfigurationError` for a
+    constant mass, which fails at construction, :class:`DivergenceError` for
+    a metric, which rejects the step that met it.  A constant mass is
     checked for finiteness where it enters; a non-finite metric entry makes
-    the energy non-finite, which rejects the step."""
+    the energy non-finite, which rejects the step.
 
-    def __init__(self, value: np.ndarray | None, dim: int, error: type[Exception]):
+    ``sample``, ``inv_apply`` and ``half_quad`` act row by row on a
+    ``(C, d)`` batch as well, each row with a vector's bits."""
+
+    def __init__(
+        self, value: np.ndarray | None, dim: int, error: type[Exception], name: str = "mass"
+    ):
         self._half_logdet = None
         if value is None:
             self.sample = lambda rng: rng.standard_normal(dim)
@@ -129,8 +138,11 @@ class _SPD:
         value = np.asarray(value, dtype=float)
         if value.ndim == 1:
             # A NaN entry is not > 0.
-            if value.shape != (dim,) or not _least(value) > 0:
+            least = _least(value)
+            if value.shape != (dim,) or not least > 0:
                 raise error(f"diagonal matrix is not positive and of shape ({dim},)")
+            if not math.isfinite(1.0 / least):  # the largest entry of the inverse
+                raise error(f"the {name}'s inverse is not finite: it has the entry {least!r}")
             self.diag, root = value, np.sqrt(value)
             self.sample = lambda rng: root * rng.standard_normal(dim)
             self.inv_apply = value.__rtruediv__  # v -> v / value
@@ -140,14 +152,19 @@ class _SPD:
                 chol = np.linalg.cholesky(value)
             except np.linalg.LinAlgError as exc:
                 raise error("matrix is not positive definite") from exc
-            self.sample = lambda rng: chol @ rng.standard_normal(dim)
-            self.inv_apply = np.linalg.inv(value).__matmul__  # v -> inverse @ v
+            inverse = np.linalg.inv(value)
+            if not _finite(inverse):
+                raise error(f"the {name}'s inverse is not finite")
+            # Stacked matrix-vector products: each row has the bits of
+            # ``chol @ x`` or ``inverse @ v``.
+            self.sample = lambda rng: (chol @ rng.standard_normal(dim)[..., None])[..., 0]
+            self.inv_apply = lambda v: (inverse @ v[..., None])[..., 0]
             self._log_terms = (1.0, np.diag(chol))
         else:
             raise error(f"expected a ({dim},) vector or a ({dim}, {dim}) matrix")
 
-    def half_quad(self, v: np.ndarray) -> float:
-        return 0.5 * float(v.dot(self.inv_apply(v)))  # v @ A^{-1} v, without matmul's dispatch
+    def half_quad(self, v: np.ndarray) -> float | np.ndarray:
+        return 0.5 * _row_dot(v, self.inv_apply(v))
 
     def half_logdet(self) -> float:
         """Half the sum of the logs of the diagonal, or the sum of those of
@@ -230,7 +247,7 @@ def gaussian_jump(dim: int, scale=1.0) -> AuxiliaryKernel:
         raise ConfigurationError("jump scale must be positive")
     return _kinetic_law(
         lambda rng: scale * rng.standard_normal(dim),
-        lambda v: 0.5 * float(np.add.reduce((v / scale) ** 2)),
+        lambda v: 0.5 * _row_sum((v / scale) ** 2),
         dim,
         gaussian_noise=True,
     )
@@ -253,14 +270,15 @@ def rwmc(
     law the jump terms cancel and the classical Metropolis rule remains.
     """
     require_count(dim=dim)
-    if jump is None:
+    default_jump = jump is None  # whose draws and kinetic act row by row
+    if default_jump:
         jump = gaussian_jump(dim, 1.0 if scale is None else scale)
     elif scale is not None:
         raise ConfigurationError("pass either a jump law or a scale, not both")
     else:
         _check_aux_dim(jump, dim)
     involution = _energy_involution(target, jump, lambda z: _point((z.q + z.v, z.v, None)))
-    return InvolutiveKernel(target=target, aux=jump, involution=involution, dim=dim, name="rwmc")
+    return InvolutiveKernel(target, jump, involution, dim, name="rwmc", batch=default_jump)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +339,8 @@ def hmc(
     require_finite(mass=mass)
     mass = _SPD(mass, dim, ConfigurationError)
     aux = _kinetic_law(mass.sample, mass.half_quad, dim, gaussian_noise=True)
-    kernel = surrogate_hmc(target, aux, cfg, f1=mass.inv_apply, f2=_exact_force(target), dim=dim)
+    force = _exact_force(target)
+    kernel = surrogate_hmc(target, aux, cfg, f1=mass.inv_apply, f2=force, dim=dim, batch=True)
     return replace(kernel, name="hmc")
 
 
@@ -545,7 +564,7 @@ def rmhmc(
         raise ConfigurationError("rmhmc requires delta > 0")
 
     def metric_ops(q: np.ndarray) -> _SPD:
-        return _SPD(metric.matrix(q), dim, DivergenceError)
+        return _SPD(metric.matrix(q), dim, DivergenceError, "metric")
 
     def static_force(q: np.ndarray) -> np.ndarray:
         """The part of ``-f2(z)`` that does not depend on ``z.v``."""
@@ -652,11 +671,12 @@ def _f1_is_odd(f1, dim: int, points: bool) -> bool:
     velocities in [-3, 3)^dim and, for point fields (``points``), probe
     positions shared by the two points (see :func:`_spread`)."""
     shifts = np.arange(50)[:, None] / 50
-    for v, q in zip(3.0 * _spread(dim, shifts), 3.0 * _spread(dim, shifts + 0.5)):
-        memo = {}
-        pair = (_point((q, v, memo)), _point((q, -v, memo))) if points else (v, -v)
-        if not _max_abs(np.add(*map(f1, pair), dtype=float)) <= 1e-10:  # also if not finite
-            return False
+    with np.errstate(all="ignore"):  # a non-finite value fails the check
+        for v, q in zip(3.0 * _spread(dim, shifts), 3.0 * _spread(dim, shifts + 0.5)):
+            memo = {}
+            pair = (_point((q, v, memo)), _point((q, -v, memo))) if points else (v, -v)
+            if not _max_abs(np.add(*map(f1, pair), dtype=float)) <= 1e-10:
+                return False
     return True
 
 
@@ -670,6 +690,7 @@ def surrogate_hmc(
     stages=None,
     volume_preserving: bool = True,
     dim: int | None = None,
+    batch: bool = False,
 ) -> InvolutiveKernel:
     """HMC-style kernel with arbitrary surrogate force fields.
 
@@ -696,6 +717,11 @@ def surrogate_hmc(
     need ``volume_preserving=False``.  The Jacobian factor is then computed
     by finite differences, which requires ``dim`` and
     ``2 * dim <= JACOBIAN_CAP``.
+
+    ``batch=True`` declares that ``target``, ``aux``, ``f1`` and ``f2`` act
+    row by row on ``(C, d)`` arrays, so that the kernel steps batches of
+    chains (:class:`~invmh.core.InvolutiveKernel`); it takes the
+    volume-preserving leapfrog scheme.
     """
     if dim is not None:
         require_count(dim=dim)
@@ -708,6 +734,8 @@ def surrogate_hmc(
     sets_steps = cfg.delta1 is not None or cfg.delta2 is not None
     if sets_steps and scheme in ("stormer_verlet", "palindrome"):
         raise ConfigurationError(f"the {scheme} scheme does not read delta1 or delta2")
+    if batch and (scheme != "leapfrog" or not volume_preserving):
+        raise ConfigurationError("batches step through the volume-preserving leapfrog scheme only")
     if scheme == "leapfrog":
         integrator = lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
     elif scheme == "stormer_verlet":
@@ -734,4 +762,4 @@ def surrogate_hmc(
         logdet = lambda z: numerical_logdet_jacobian(integrator, z, max_dim=JACOBIAN_CAP)
 
     involution = _energy_involution(target, aux, integrator, logdet=logdet)
-    return InvolutiveKernel(target, aux, involution, dim, name="surrogate_hmc")
+    return InvolutiveKernel(target, aux, involution, dim, name="surrogate_hmc", batch=batch)

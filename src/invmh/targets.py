@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, TargetPotential, require_count, require_finite, require_vector
+from .core import (
+    ConfigurationError,
+    TargetPotential,
+    _row_sum,
+    require_count,
+    require_finite,
+    require_vector,
+)
 from .gaussian import SpectralGaussian, power_law_eigenvalues
 from .hilbert import HilbertTarget, quartic_bounded_phi
+
+# The finite-dimensional targets act on the last axis: a (C, d) batch of
+# positions gives (C,) potentials and (C, d) gradients, each row with the
+# bits of its own evaluation.
 
 __all__ = [
     "standard_gaussian",
@@ -21,7 +32,7 @@ def standard_gaussian(dim: int) -> TargetPotential:
     """U(q) = |q|^2 / 2."""
     require_count(dim=dim)
     return TargetPotential(
-        eval=lambda q: 0.5 * float(np.add.reduce(q**2)),
+        eval=lambda q: 0.5 * _row_sum(q**2),
         grad=lambda q: np.asarray(q, dtype=float),
     )
 
@@ -33,7 +44,7 @@ def anisotropic_gaussian(variances) -> TargetPotential:
     if var.ndim != 1 or var.size == 0 or np.any(var <= 0):
         raise ConfigurationError("variances must be a nonempty positive vector")
     return TargetPotential(
-        eval=lambda q: 0.5 * float(np.add.reduce(q**2 / var)),
+        eval=lambda q: 0.5 * _row_sum(q**2 / var),
         grad=lambda q: np.asarray(q, dtype=float) / var,
     )
 
@@ -51,15 +62,15 @@ def rosenbrock(dim: int = 2, a: float = 1.0, b: float = 10.0) -> TargetPotential
         raise ConfigurationError(f"b must be > 0 for a proper target, got {b!r}")
 
     def eval_(q: np.ndarray) -> float:
-        head, tail = q[:-1], q[1:]
-        return float(np.sum(b * (tail - head**2) ** 2 + (a - head) ** 2))
+        head, tail = q[..., :-1], q[..., 1:]
+        return _row_sum(b * (tail - head**2) ** 2 + (a - head) ** 2)
 
     def grad(q: np.ndarray) -> np.ndarray:
         g = np.zeros_like(np.asarray(q, dtype=float))
-        head, tail = q[:-1], q[1:]
+        head, tail = q[..., :-1], q[..., 1:]
         inner = tail - head**2
-        g[:-1] += -4.0 * b * inner * head - 2.0 * (a - head)
-        g[1:] += 2.0 * b * inner
+        g[..., :-1] += -4.0 * b * inner * head - 2.0 * (a - head)
+        g[..., 1:] += 2.0 * b * inner
         return g
 
     return TargetPotential(eval=eval_, grad=grad)

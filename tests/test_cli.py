@@ -20,6 +20,7 @@ from invmh.cli import (
     run,
 )
 from invmh.core import TargetPotential
+from invmh.finite_dim import SamplerError
 
 
 def write_config(tmp_path: Path, config: dict, name="config.json") -> Path:
@@ -159,19 +160,64 @@ class TestRun:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["chains"][0]["acceptance_rate"] < 0.1
 
-    def test_runtime_error_writes_report(self, tmp_path, capsys):
-        # Starting the chain inside a zero-density region fails at runtime;
-        # exit code 2 plus an error report on disk.
+    def test_runtime_error_writes_report(self, tmp_path, capsys, monkeypatch):
+        # A sampler that fails mid-run (here a stand-in for run_chain: no
+        # builtin config is known to fail at runtime) exits with code 2 and
+        # leaves an error report on disk.
+        def failing_run_chain(*args):
+            raise SamplerError("momentum sampler exhausted its attempts")
+
+        monkeypatch.setattr(invmh.cli, "run_chain", failing_run_chain)
         outdir = tmp_path / "out"
         config = {
             "target": {"name": "hilbert_quartic", "eigenvalues": {"power_law": {"d": 3}}},
             "sampler": {"name": "pcn", "delta": 1.0},
-            "run": {"n_steps": 10, "burn_in": 0, "n_chains": 1, "seed": 1, "q0": [1e300, 0.0, 0.0]},
+            "run": {"n_steps": 10, "burn_in": 0, "n_chains": 1, "seed": 1},
             "output": {"directory": str(outdir)},
         }
         code = run(config)
         assert code == 2
-        assert (outdir / "error.json").exists()
+        report = json.loads((outdir / "error.json").read_text())
+        assert report["type"] == "SamplerError"
+        assert capsys.readouterr().err == "runtime error: momentum sampler exhausted its attempts\n"
+
+    @pytest.mark.parametrize(
+        "target, q0, start",
+        [
+            ({"name": "standard_gaussian", "dim": 2}, [1e200, 0], "[1e+200, 0]"),
+            ({"name": "rosenbrock", "a": 1e200}, None, "the default origin (run.q0 absent)"),
+            (QUARTIC, [1e300, 0, 0, 0, 0, 0], "[1e+300, 0, 0, 0, 0, 0]"),
+        ],
+        ids=["standard_gaussian q0", "rosenbrock origin", "hilbert_quartic q0"],
+    )
+    def test_zero_density_start_is_a_config_error(self, tmp_path, capsys, target, q0, start):
+        # Every chain starts at q0: a zero density there is rejected with
+        # the config, before any output is written.
+        sampler = {"name": "pcn", "delta": 1.0} if target is QUARTIC else {"name": "mala", "delta": 0.5}
+        config = experiment(tmp_path / "out", target, sampler)
+        if q0 is not None:
+            config["run"]["q0"] = q0
+        assert main(["run", str(write_config(tmp_path, config))]) == 1
+        message = f"config error: run.q0: the target has zero density at {start}\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    def test_mass_with_an_infinite_inverse_is_named(self, tmp_path):
+        # 1 / 1e-310 overflows: one line that names the mass, no warnings.
+        config = experiment(tmp_path / "out", FD2, {"name": "hmc", "delta": 0.3, "mass": [1e-310, 1]})
+        src = str(Path(invmh.cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "invmh.cli", "run", str(write_config(tmp_path, config))],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 1
+        assert out.stderr == (
+            "config error: sampler: the mass's inverse is not finite: it has the entry 1e-310\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_proposals_are_rejected(self, tmp_path):
         # A reference of variance 1e300 draws proposals with |q|^2 past
@@ -218,17 +264,21 @@ class TestRun:
         assert (outdir / "chain_000.csv").read_bytes() != (outdir / "chain_001.csv").read_bytes()
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        config = rwmc_config(str(serial), n_steps=200)
-        config["run"]["n_chains"] = 2
-        run(config)
-        config2 = rwmc_config(str(parallel), n_steps=200)
-        config2["run"]["n_chains"] = 2
-        run(config2, workers=2)
-        for c in range(2):
-            a = (serial / f"chain_{c:03d}.csv").read_bytes()
-            b = (parallel / f"chain_{c:03d}.csv").read_bytes()
-            assert a == b
+        # Two workers split 3 mala chains into a batch of 2 and a lone
+        # chain; rmhmc steps its chains one at a time.  The artifacts are the serial
+        # run's, byte for byte (the summary but for its directory).
+        for name, n_chains in (("mala_gaussian", 3), ("rmhmc_rosenbrock", 2)):
+            config = json.loads(json.dumps(EXAMPLE_CONFIGS[name]))
+            config["run"].update(n_steps=300, burn_in=30, n_chains=n_chains)
+            artifacts = []
+            for workers in (1, 2):
+                outdir = tmp_path / f"{name}_{workers}"
+                assert run(config, output_dir=str(outdir), workers=workers) == 0
+                summary = json.loads((outdir / "summary.json").read_text())
+                assert summary["config"]["output"].pop("directory") == str(outdir)
+                csvs = [(outdir / f"chain_{c:03d}.csv").read_bytes() for c in range(n_chains)]
+                artifacts.append((summary, csvs))
+            assert artifacts[0] == artifacts[1]
 
     def test_import_loads_no_process_pool(self):
         # The process pool is imported by a run with workers > 1, and the
