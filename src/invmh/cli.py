@@ -161,15 +161,15 @@ def _surrogate_hmc(spec: dict, target, dim: int) -> InvolutiveKernel:
     if target.grad is None:
         _fail("sampler.name", "surrogate_hmc requires a target with a gradient")
     grad = target.grad
-    return surrogate_hmc(
+    kernel = surrogate_hmc(
         target,
         gaussian_momentum(dim),
         make_cfg(),
         f1=lambda v: v,
         f2=lambda q: -scale * np.asarray(grad(q), dtype=float),
         dim=dim,
-        batch=True,
     )
+    return replace(kernel, batch=True)  # leapfrog, and its pieces act row by row
 
 
 def _pcn(spec: dict, target, dim: int) -> InvolutiveKernel:
@@ -426,12 +426,19 @@ def _chain_rngs(seed: int, chain_index: int):
     return sampling, diagnostics
 
 
+# The most chains of a batch kernel that ``invmh run`` steps as one batch
+# (the largest batch that scripts/batch_rate.py measures), and the most
+# bytes of positions that a batch of two or more may hold: a batch holds
+# all its chains' positions until they are written.
+BATCH_CHAINS = 32
+BATCH_BYTES = 1 << 24
+
+
 def _chains_task(config_text: str, chains: range, out_dir: str) -> list[dict]:
     """Run the chains ``chains`` of the resolved config and write their
     CSVs and summaries (worker-safe: rebuilds everything from it).  A batch
-    kernel steps two or more as one batch (a batch of one is slower than a
-    single chain); otherwise they run one at a time, each written before
-    the next starts.  The bytes are the same either way."""
+    kernel steps them as one batch; otherwise they run one at a time, each
+    written before the next starts.  The bytes are the same either way."""
     config = json.loads(config_text)
     kind, target, dim = build_target(config["target"])
     kernel = build_kernel(config["sampler"], kind, target, dim)
@@ -439,7 +446,7 @@ def _chains_task(config_text: str, chains: range, out_dir: str) -> list[dict]:
     q0 = np.asarray(run_spec.get("q0", np.zeros(dim)), dtype=float)
     n_steps = run_spec["n_steps"]
     sampling, diagnostics = zip(*(_chain_rngs(run_spec["seed"], c) for c in chains))
-    if kernel.batch and len(chains) > 1:
+    if kernel.batch:
         results = run_chain(kernel, np.tile(q0, (len(chains), 1)), n_steps, sampling)
     else:
         results = (run_chain(kernel, q0, n_steps, rng) for rng in sampling)
@@ -522,17 +529,21 @@ def run(
     config_text = json.dumps(resolved, sort_keys=True)
 
     task = partial(_chains_task, config_text, out_dir=str(out_path))
-    # One contiguous block of chains per worker, the larger blocks first.
-    n = resolved["run"]["n_chains"]
+    # One contiguous block of chains per worker, the larger blocks first,
+    # cut into batches of a batch kernel or single chains of another.
+    n, n_steps = resolved["run"]["n_chains"], resolved["run"]["n_steps"]
     k = min(workers, n)
     blocks = [range(-(-n * i // k), -(-n * (i + 1) // k)) for i in range(k)]
+    chain_bytes = 8 * (n_steps + 1) * dim
+    size = max(1, min(BATCH_CHAINS, BATCH_BYTES // chain_bytes)) if kernel.batch else 1
+    parts = [block[i : i + size] for block in blocks for i in range(0, len(block), size)]
     try:
-        # Blocks in index order, serially or in worker processes.
+        # Parts in index order, serially or in worker processes.
         if workers > 1:  # imported here: it costs 16-32 ms at start-up
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            block_map = pool.map if pool else map
-            summaries = [entry for block in block_map(task, blocks) for entry in block]
+            part_map = pool.map if pool else map
+            summaries = [entry for part in part_map(task, parts) for entry in part]
     except Exception as exc:  # noqa: BLE001 - converted to exit code + report
         report = {"error": str(exc), "type": type(exc).__name__, "config": resolved}
         (out_path / "error.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -478,18 +478,24 @@ class _Rows:
         return SimpleNamespace(standard_normal=lambda size: normal, random=self._rngs[c].random)
 
 
-def _draws(aux: AuxiliaryKernel, rng: np.random.Generator, n_steps: int):
-    """The source of a chain's draws, as a context manager: a
-    :class:`_NoiseSource`, whose executor thread draws ahead, for a declared
-    ``gaussian_noise`` law of dimension at least ``NOISE_THREAD_DIM``, two
-    steps or more and a second CPU, else ``rng`` itself."""
-    if (
+def _draws_ahead(aux: AuxiliaryKernel, n_steps: int) -> bool:
+    """Whether a chain of ``aux`` draws its noise ahead on a thread: a
+    declared ``gaussian_noise`` law of dimension at least
+    ``NOISE_THREAD_DIM``, two steps or more and a second CPU."""
+    return (
         aux.gaussian_noise
         and aux.dim is not None
         and aux.dim >= NOISE_THREAD_DIM
         and n_steps >= 2
         and diagnostics._worker_count() >= 2
-    ):
+    )
+
+
+def _draws(aux: AuxiliaryKernel, rng: np.random.Generator, n_steps: int):
+    """The source of a chain's draws, as a context manager: a
+    :class:`_NoiseSource`, whose executor thread draws ahead, when
+    :func:`_draws_ahead`, else ``rng`` itself."""
+    if _draws_ahead(aux, n_steps):
         return _NoiseSource(rng, aux.dim, n_steps)
     return contextlib.nullcontext(rng)
 
@@ -526,22 +532,35 @@ def run_chain(
     iteration steps the C chains as one ``(C, d)`` array through
     :func:`mh_step`, and the result is one :class:`ChainResult` per chain,
     chain ``c``'s equal to ``run_chain(kernel, q0[c], n_steps, rng[c])``
-    bit for bit.  A batch for another kernel, and a potential or energy
-    that does not come back with shape ``(C,)`` at the start, raise
-    :class:`ConfigurationError` before any draw.
+    bit for bit.  A batch of one chain, and one whose chains would draw
+    their noise ahead (see above), runs its chains one at a time instead.
+    The batch's positions, ``C (n_steps + 1) d`` doubles, are allocated at
+    once; each chain's result is a view of them.  A batch for another
+    kernel, and a potential or energy that does not come back with shape
+    ``(C,)`` at the start, raise :class:`ConfigurationError` before any
+    draw.
     """
     require_count(0, n_steps=n_steps)
     q = np.asarray(q0, dtype=float)
     batch = q.ndim == 2
-    positions = np.empty((n_steps + 1, *q.shape))
-    alphas = np.empty((n_steps, *q.shape[:-1]))
-    accepted = np.zeros(alphas.shape, dtype=bool)
-    positions[0] = q
     if batch and not (kernel.batch and isinstance(rng, (list, tuple)) and len(rng) == len(q)):
         raise ConfigurationError(
             f"a batch of {len(q)} chains needs a batch kernel ({kernel.name or 'this kernel'}"
             f" is {'' if kernel.batch else 'not '}one) and a list of {len(q)} generators"
         )
+    if batch and (len(q) == 1 or _draws_ahead(kernel.aux, n_steps)):
+        # A batch step costs more than a single chain's at C = 1, and a
+        # batch would draw inline what a single chain draws ahead.
+        return [run_chain(kernel, row, n_steps, row_rng) for row, row_rng in zip(q, rng)]
+    # A batch's arrays are chain-major, so that each chain's are
+    # C-contiguous and sums over them round as a single chain's do; the
+    # loop writes them through step-major views.
+    positions = np.empty((*q.shape[:-1], n_steps + 1, q.shape[-1]))
+    alphas = np.empty((*q.shape[:-1], n_steps))
+    accepted = np.zeros(alphas.shape, dtype=bool)
+    step_positions = np.moveaxis(positions, -2, 0)
+    step_alphas, step_accepted = np.moveaxis(alphas, -1, 0), np.moveaxis(accepted, -1, 0)
+    step_positions[0] = q
     with np.errstate(over="ignore", invalid="ignore"):
         start_value = kernel.target.eval(q)
         # The energy's auxiliary terms, at zero velocity.
@@ -558,15 +577,12 @@ def run_chain(
         for k in range(n_steps):
             result = mh_step(kernel, q, draws, memo)
             q, memo = result.next, result.memo
-            positions[k + 1] = q
-            alphas[k] = result.alpha
-            accepted[k] = result.accepted
+            step_positions[k + 1] = q
+            step_alphas[k] = result.alpha
+            step_accepted[k] = result.accepted
     if not batch:
         return ChainResult(positions=positions, alphas=alphas, accepted=accepted)
-    # Each chain's arrays C-contiguous, so that sums over them round as a
-    # single chain's do.
-    chains = (np.ascontiguousarray(np.moveaxis(a, 1, 0)) for a in (positions, alphas, accepted))
-    return [ChainResult(*arrays) for arrays in zip(*chains)]
+    return [ChainResult(*arrays) for arrays in zip(positions, alphas, accepted)]
 
 
 def involution_from_proposal_map(

@@ -339,9 +339,8 @@ def hmc(
     require_finite(mass=mass)
     mass = _SPD(mass, dim, ConfigurationError)
     aux = _kinetic_law(mass.sample, mass.half_quad, dim, gaussian_noise=True)
-    force = _exact_force(target)
-    kernel = surrogate_hmc(target, aux, cfg, f1=mass.inv_apply, f2=force, dim=dim, batch=True)
-    return replace(kernel, name="hmc")
+    kernel = surrogate_hmc(target, aux, cfg, f1=mass.inv_apply, f2=_exact_force(target), dim=dim)
+    return replace(kernel, name="hmc", batch=True)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +689,6 @@ def surrogate_hmc(
     stages=None,
     volume_preserving: bool = True,
     dim: int | None = None,
-    batch: bool = False,
 ) -> InvolutiveKernel:
     """HMC-style kernel with arbitrary surrogate force fields.
 
@@ -717,11 +715,6 @@ def surrogate_hmc(
     need ``volume_preserving=False``.  The Jacobian factor is then computed
     by finite differences, which requires ``dim`` and
     ``2 * dim <= JACOBIAN_CAP``.
-
-    ``batch=True`` declares that ``target``, ``aux``, ``f1`` and ``f2`` act
-    row by row on ``(C, d)`` arrays, so that the kernel steps batches of
-    chains (:class:`~invmh.core.InvolutiveKernel`); it takes the
-    volume-preserving leapfrog scheme.
     """
     if dim is not None:
         require_count(dim=dim)
@@ -734,8 +727,6 @@ def surrogate_hmc(
     sets_steps = cfg.delta1 is not None or cfg.delta2 is not None
     if sets_steps and scheme in ("stormer_verlet", "palindrome"):
         raise ConfigurationError(f"the {scheme} scheme does not read delta1 or delta2")
-    if batch and (scheme != "leapfrog" or not volume_preserving):
-        raise ConfigurationError("batches step through the volume-preserving leapfrog scheme only")
     if scheme == "leapfrog":
         integrator = lambda z: leapfrog(cfg.n, d1, d2, f1, f2, z)
     elif scheme == "stormer_verlet":
@@ -762,4 +753,4 @@ def surrogate_hmc(
         logdet = lambda z: numerical_logdet_jacobian(integrator, z, max_dim=JACOBIAN_CAP)
 
     involution = _energy_involution(target, aux, integrator, logdet=logdet)
-    return InvolutiveKernel(target, aux, involution, dim, name="surrogate_hmc", batch=batch)
+    return InvolutiveKernel(target, aux, involution, dim, name="surrogate_hmc")

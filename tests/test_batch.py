@@ -2,12 +2,15 @@
 row is its own chain's single run, bit for bit."""
 
 import json
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import invmh.cli
+import invmh.core
 from invmh import (
     ConfigurationError,
     HmcConfig,
@@ -27,7 +30,7 @@ from invmh import (
     surrogate_hmc,
 )
 from invmh.cli import SAMPLERS, build_kernel, build_target
-from invmh.finite_dim import gaussian_jump
+from invmh.finite_dim import _SPD, _exact_force, _kinetic_law, gaussian_jump
 from invmh.targets import anisotropic_gaussian, hilbert_quartic, rosenbrock, standard_gaussian
 
 
@@ -50,6 +53,18 @@ def assert_rows_are_single_runs(kernel, q0, n_steps=60, seed=0) -> list:
         assert np.array_equal(row.accepted, single.accepted)
         assert rng.bit_generator.state == single_rng.bit_generator.state
     return batch
+
+
+def _record_states(monkeypatch) -> list:
+    """The shapes of the states that ``mh_step`` is called with, from now on."""
+    shapes, step = [], invmh.core.mh_step
+
+    def recorded(kernel, q, *args):
+        shapes.append(np.shape(q))
+        return step(kernel, q, *args)
+
+    monkeypatch.setattr(invmh.core, "mh_step", recorded)
+    return shapes
 
 
 def _targets(dim: int) -> dict:
@@ -125,11 +140,63 @@ class TestRowsAreSingleRuns:
         assert not batch[2].accepted.any()
         assert (batch[2].positions == q0[2]).all()
 
-    def test_a_batch_of_one_and_zero_steps(self):
+    def test_a_batch_of_one_and_zero_steps(self, monkeypatch):
         kernel = mala(standard_gaussian(2), 0.5, 2)
+        states = _record_states(monkeypatch)
         assert_rows_are_single_runs(kernel, np.zeros((1, 2)))
+        assert set(states) == {(2,)}  # the single-chain path
         (empty,) = run_chain(kernel, np.ones((1, 2)), 0, _rngs(1))
         assert empty.positions.shape == (1, 2) and empty.alphas.shape == (0,)
+        (empty,) = run_chain(kernel, np.ones((3, 2)), 0, _rngs(3))[2:]
+        assert empty.positions.shape == (1, 2) and empty.alphas.shape == (0,)
+
+    def test_chains_that_draw_ahead_run_one_at_a_time(self, monkeypatch):
+        # At NOISE_THREAD_DIM with two CPUs a single chain draws its noise
+        # ahead on a thread; a batch would draw it inline.
+        monkeypatch.setattr(invmh.core.diagnostics, "_worker_count", lambda: 2)
+        dim = invmh.core.NOISE_THREAD_DIM
+        kernel = mala(standard_gaussian(dim), 0.05, dim)
+        states = _record_states(monkeypatch)
+        q0 = np.random.default_rng(1).normal(size=(2, dim))
+        assert_rows_are_single_runs(kernel, q0, n_steps=3)
+        assert set(states) == {(dim,)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_dense_mass_keeps_the_single_chain_arithmetic(self, dim):
+        # A single chain of hmc with a dense mass against one built from
+        # the matrix-vector products ``chol @ x`` and ``inverse @ v``.
+        mass = np.eye(dim) + 0.3
+        chol, inverse = np.linalg.cholesky(mass), np.linalg.inv(mass)
+        target, cfg = rosenbrock(dim) if dim > 1 else standard_gaussian(1), HmcConfig(0.2, n=3)
+        aux = _kinetic_law(
+            lambda rng: chol @ rng.standard_normal(dim),
+            lambda v: 0.5 * float(v.dot(inverse @ v)),
+            dim,
+            gaussian_noise=True,
+        )
+        reference = surrogate_hmc(
+            target, aux, cfg, f1=inverse.__matmul__, f2=_exact_force(target), dim=dim
+        )
+        q0 = np.full(dim, 0.3)
+        ours = run_chain(hmc(target, cfg, dim, mass=mass), q0, 200, np.random.default_rng(dim))
+        theirs = run_chain(reference, q0, 200, np.random.default_rng(dim))
+        assert ours.accepted.any()
+        for field in ("positions", "alphas", "accepted"):
+            assert np.array_equal(getattr(ours, field), getattr(theirs, field))
+
+    def test_dense_spd_acts_as_its_matrix_vector_products(self):
+        rng = np.random.default_rng(0)
+        for dim in range(1, 13):
+            root = rng.normal(size=(dim, dim))
+            matrix = root @ root.T + dim * np.eye(dim)
+            spd = _SPD(matrix, dim, ConfigurationError)
+            chol, inverse = np.linalg.cholesky(matrix), np.linalg.inv(matrix)
+            for v in rng.normal(size=(20, dim)):
+                assert np.array_equal(spd.inv_apply(v), inverse @ v)
+                assert spd.half_quad(v) == 0.5 * float(v.dot(inverse @ v))
+            seed = int(rng.integers(1 << 30))
+            drawn = spd.sample(np.random.default_rng(seed))
+            assert np.array_equal(drawn, chol @ np.random.default_rng(seed).standard_normal(dim))
 
 
 class TestMisuse:
@@ -172,27 +239,26 @@ class TestMisuse:
     def test_a_potential_that_reduces_over_the_batch(self):
         # np.sum without an axis: one number for the whole batch.
         target = TargetPotential(eval=lambda q: 0.5 * np.sum(q * q), grad=lambda q: q)
-        kernel = surrogate_hmc(
-            target, gaussian_momentum(2), HmcConfig(0.3), f1=lambda v: v, f2=lambda q: -q,
-            dim=2, batch=True,
+        kernel = replace(
+            surrogate_hmc(
+                target, gaussian_momentum(2), HmcConfig(0.3), f1=lambda v: v, f2=lambda q: -q,
+                dim=2,
+            ),
+            batch=True,
         )
         self.assert_fails_before_any_draw(kernel, np.zeros((3, 2)), _rngs(3), r"\(3,\) potentials")
 
     def test_an_energy_that_reduces_over_the_batch(self):
         momentum = gaussian_momentum(2)
         aux = replace(momentum, log_density_terms=lambda z: -0.5 * np.sum(z.v * z.v))
-        kernel = surrogate_hmc(
-            standard_gaussian(2), aux, HmcConfig(0.3), f1=lambda v: v, f2=lambda q: -q,
-            dim=2, batch=True,
+        kernel = replace(
+            surrogate_hmc(
+                standard_gaussian(2), aux, HmcConfig(0.3), f1=lambda v: v, f2=lambda q: -q,
+                dim=2,
+            ),
+            batch=True,
         )
         self.assert_fails_before_any_draw(kernel, np.zeros((3, 2)), _rngs(3), "energies")
-
-    def test_batch_takes_the_leapfrog_scheme(self):
-        with pytest.raises(ConfigurationError, match="leapfrog"):
-            surrogate_hmc(
-                standard_gaussian(2), gaussian_momentum(2), HmcConfig(0.3),
-                f1=lambda z: z.v, f2=lambda z: -z.q, scheme="stormer_verlet", dim=2, batch=True,
-            )
 
 
 def test_batched_invmh_run_matches_per_chain_reference(tmp_path):
@@ -223,3 +289,38 @@ def test_batched_invmh_run_matches_per_chain_reference(tmp_path):
         summaries.append({"chain": c, **summary.to_dict()})
     written = json.loads((out / "summary.json").read_text())
     assert written["chains"] == json.loads(json.dumps(summaries))
+
+
+@pytest.mark.parametrize("by_bytes", [True, False], ids=["bytes", "chains"])
+def test_invmh_run_bounds_its_batches(tmp_path, monkeypatch, by_bytes):
+    """Chains whose positions take an eighth of ``BATCH_BYTES`` each run in
+    batches of 8, and tiny ones in batches of ``BATCH_CHAINS``: no more than
+    one batch's positions are held at a time, and no copy of them."""
+    dim, per_batch = (64, 8) if by_bytes else (2, invmh.cli.BATCH_CHAINS)
+    n_steps = invmh.cli.BATCH_BYTES // (8 * per_batch * dim) - 1 if by_bytes else 20
+    n_chains = per_batch + 4
+    config = json.loads(json.dumps(invmh.cli.EXAMPLE_CONFIGS["mala_gaussian"]))
+    config["target"] = {"name": "standard_gaussian", "dim": dim}
+    config["sampler"]["delta"] = 0.3
+    config["run"].update(n_steps=n_steps, burn_in=0, n_chains=n_chains)
+    config["output"]["directory"] = str(tmp_path)
+    # The sampling's memory alone: CSVs and summaries are not made.
+    written = []
+
+    def write(path, positions, *rest):
+        written.append((positions.shape, positions.flags.c_contiguous))
+
+    monkeypatch.setattr(invmh.cli, "_write_chain_csv", write)
+    monkeypatch.setattr(
+        invmh.cli, "summarize_chain", lambda *args, **kwargs: SimpleNamespace(to_dict=dict)
+    )
+    batches = _record_states(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert invmh.cli.run(config) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(batches) == {(per_batch, dim), (4, dim)}
+    assert written == [((n_steps + 1, dim), True)] * n_chains
+    assert peak < 1.25 * invmh.cli.BATCH_BYTES
