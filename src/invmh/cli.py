@@ -436,20 +436,18 @@ BATCH_BYTES = 1 << 24
 
 def _chains_task(config_text: str, chains: range, out_dir: str) -> list[dict]:
     """Run the chains ``chains`` of the resolved config and write their
-    CSVs and summaries (worker-safe: rebuilds everything from it).  A batch
-    kernel steps them as one batch; otherwise they run one at a time, each
-    written before the next starts.  The bytes are the same either way."""
+    CSVs and summaries (worker-safe: rebuilds everything from it), with
+    one :func:`run_chain` call, which steps them as one batch or runs them
+    one at a time.  ``run`` hands a kernel without ``batch`` one chain per
+    call, so each is written before the next starts.  The bytes are the
+    same either way."""
     config = json.loads(config_text)
     kind, target, dim = build_target(config["target"])
     kernel = build_kernel(config["sampler"], kind, target, dim)
     run_spec = config["run"]
     q0 = np.asarray(run_spec.get("q0", np.zeros(dim)), dtype=float)
-    n_steps = run_spec["n_steps"]
     sampling, diagnostics = zip(*(_chain_rngs(run_spec["seed"], c) for c in chains))
-    if kernel.batch:
-        results = run_chain(kernel, np.tile(q0, (len(chains), 1)), n_steps, sampling)
-    else:
-        results = (run_chain(kernel, q0, n_steps, rng) for rng in sampling)
+    results = run_chain(kernel, np.tile(q0, (len(chains), 1)), run_spec["n_steps"], sampling)
     summaries = []
     for c, result, diag_rng in zip(chains, results, diagnostics):
         _write_chain_csv(

@@ -15,7 +15,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -243,7 +242,8 @@ class InvolutiveKernel:
     ``batch`` declares that the target, the auxiliary law and the involution
     act row by row on a ``(C, d)`` batch of positions and velocities, with
     ``(C,)`` potentials and log-RNs, so that :func:`run_chain` may step C
-    chains as one batch.
+    chains as one batch.  On a batch they return non-finite values for a
+    row that leaves the finite numbers, and raise nothing.
     """
 
     target: TargetPotential
@@ -296,7 +296,8 @@ def mh_step(
 
     For a ``batch`` kernel, ``q`` may be a ``(C, d)`` batch of states and
     ``rng`` the batch's draw source (see :func:`run_chain`); ``alpha`` and
-    ``accepted`` are then ``(C,)`` arrays.
+    ``accepted`` are then ``(C,)`` arrays, and a row whose image has a
+    non-finite position or velocity is rejected.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _step(kernel, q, rng, {} if memo is None else memo)
@@ -333,17 +334,15 @@ def _batch_step(kernel: InvolutiveKernel, z: ExtendedPoint, rows: _Rows) -> Step
     """The rest of :func:`_step` for a batch ``z``: every row is accepted
     or rejected as its own chain's step would be, by a mask, and the next
     memo holds the keys that both the image's memo and ``z``'s hold, merged
-    row by row (others are recomputed, to the same bits).  When the batch's
-    involution raises :class:`IntegrationError`, each row's step is redone
-    alone from the same draws, and the next memo is empty."""
+    row by row (others are recomputed, to the same bits).  A batch's
+    involution does not raise on a row that leaves the finite numbers (see
+    :func:`~invmh.integrators.leapfrog`): a row whose image has a
+    non-finite position or velocity gets alpha = 0, as its own chain's
+    step rejects it."""
     q, memo = z.q, z.memo
-    try:
-        image, log_rn = kernel.involution.apply_and_log_rn(z)
-    except IntegrationError:
-        steps = [_step(kernel, row, rows.replay(c), {})[:4] for c, row in enumerate(q)]
-        return StepResult(*map(np.array, zip(*steps)), {})
+    image, log_rn = kernel.involution.apply_and_log_rn(z)
     proposal = np.asarray(image.q, dtype=float)
-    finite = np.isfinite(proposal).all(axis=-1).tolist()
+    finite = (np.isfinite(proposal).all(axis=-1) & np.isfinite(image.v).all(axis=-1)).tolist()
     alpha = np.array([accept_prob(x) if ok else 0.0 for x, ok in zip(log_rn.tolist(), finite)])
     accepted = rows.random() < alpha
     column = accepted[:, None]
@@ -458,24 +457,19 @@ class _Rows:
     ``standard_normal(d)`` stacks each generator's draw into a ``(C, d)``
     array and ``random()`` gives each generator's uniform, a ``(C,)``
     array, so every generator makes the calls of its chain run alone (the
-    ``gaussian_noise`` contract).  ``replay(c)`` is chain ``c``'s source for
-    a redo of the step: the normal drawn last, then its own uniform."""
+    ``gaussian_noise`` contract)."""
 
     def __init__(self, rngs: Sequence[np.random.Generator]):
         self._rngs = rngs
 
     def standard_normal(self, size: int) -> np.ndarray:
-        self._normals = np.empty((len(self._rngs), size))
-        for rng, row in zip(self._rngs, self._normals):
+        normals = np.empty((len(self._rngs), size))
+        for rng, row in zip(self._rngs, normals):
             rng.standard_normal(out=row)  # standard_normal(size)'s draw, in place
-        return self._normals
+        return normals
 
     def random(self) -> np.ndarray:
         return np.array([rng.random() for rng in self._rngs])
-
-    def replay(self, c: int):
-        normal = self._normals[c]
-        return SimpleNamespace(standard_normal=lambda size: normal, random=self._rngs[c].random)
 
 
 def _draws_ahead(aux: AuxiliaryKernel, n_steps: int) -> bool:
@@ -527,30 +521,28 @@ def run_chain(
     returns or raises; after an exception the generator may have advanced
     by the steps drawn ahead.
 
-    A ``batch`` kernel (see :class:`InvolutiveKernel`) also takes a batch:
-    a ``(C, d)`` start ``q0`` and a sequence of C generators.  Each
-    iteration steps the C chains as one ``(C, d)`` array through
-    :func:`mh_step`, and the result is one :class:`ChainResult` per chain,
-    chain ``c``'s equal to ``run_chain(kernel, q0[c], n_steps, rng[c])``
-    bit for bit.  A batch of one chain, and one whose chains would draw
-    their noise ahead (see above), runs its chains one at a time instead.
-    The batch's positions, ``C (n_steps + 1) d`` doubles, are allocated at
-    once; each chain's result is a view of them.  A batch for another
-    kernel, and a potential or energy that does not come back with shape
-    ``(C,)`` at the start, raise :class:`ConfigurationError` before any
-    draw.
+    C chains of any kernel run from a ``(C, d)`` start ``q0`` and a
+    sequence of C generators, and the result is one :class:`ChainResult`
+    per chain, chain ``c``'s equal to ``run_chain(kernel, q0[c], n_steps,
+    rng[c])`` bit for bit.  The chains either step as one ``(C, d)`` array
+    through :func:`mh_step` or run their rows alone: alone for a batch of
+    one, a kernel that does not declare ``batch`` (see
+    :class:`InvolutiveKernel`) and chains that would draw their noise ahead
+    (see above).  A stepped batch's positions, ``C (n_steps + 1) d``
+    doubles, are allocated at once; each chain's result is a view of them.
+    A generator count other than C, and for a stepped batch a potential or
+    energy that does not come back with shape ``(C,)`` at the start, raise
+    :class:`ConfigurationError` before any draw.
     """
     require_count(0, n_steps=n_steps)
     q = np.asarray(q0, dtype=float)
     batch = q.ndim == 2
-    if batch and not (kernel.batch and isinstance(rng, (list, tuple)) and len(rng) == len(q)):
-        raise ConfigurationError(
-            f"a batch of {len(q)} chains needs a batch kernel ({kernel.name or 'this kernel'}"
-            f" is {'' if kernel.batch else 'not '}one) and a list of {len(q)} generators"
-        )
-    if batch and (len(q) == 1 or _draws_ahead(kernel.aux, n_steps)):
-        # A batch step costs more than a single chain's at C = 1, and a
-        # batch would draw inline what a single chain draws ahead.
+    if batch and not (isinstance(rng, (list, tuple)) and len(rng) == len(q)):
+        raise ConfigurationError(f"a batch of {len(q)} chains needs a list of {len(q)} generators")
+    if batch and (len(q) == 1 or not kernel.batch or _draws_ahead(kernel.aux, n_steps)):
+        # A batch step costs more than a single chain's at C = 1, a kernel
+        # without ``batch`` cannot take one, and a batch would draw inline
+        # what a single chain draws ahead.
         return [run_chain(kernel, row, n_steps, row_rng) for row, row_rng in zip(q, rng)]
     # A batch's arrays are chain-major, so that each chain's are
     # C-contiguous and sums over them round as a single chain's do; the

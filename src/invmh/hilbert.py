@@ -377,16 +377,18 @@ def inf_hmc(
     rotation run backwards is still reversible, so the momentum flip still
     makes it an involution.  A zero rotation step is rejected (the chain
     could never move)."""
-    require_finite(delta1=delta1, delta2=delta2)
     require_count(n=n)
     if delta1 < 0:
         raise ConfigurationError("delta1 must be nonnegative")
     if delta2 is None:
         delta2 = 2.0 * delta1
+    require_finite(delta1=delta1, **{"delta2 (2 * delta1 by default)": delta2})
     if delta2 == 0:
         raise ConfigurationError("rotation step delta2 must be nonzero: the chain could never move")
     delta1, delta2 = float(delta1), float(delta2)
-    steps = _kick_steps(target, delta1)
+    with np.errstate(over="ignore"):
+        steps = _kick_steps(target, delta1)
+    require_finite(**{"delta1 times each eigenvalue": steps})
     involution = lambda z: _strang_involution(target, aux, delta1, steps, delta2, n, z)
     return _hilbert_kernel(target, aux, involution, "inf_hmc")
 

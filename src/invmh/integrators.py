@@ -124,7 +124,10 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
     the drift ``q + delta2 f1(v)`` and the rotation by any ``(c, s)``
     (``0 * inf`` is NaN), so a trajectory that leaves the finite numbers
     never returns.  The force may then be evaluated at non-finite positions,
-    as it already is after a drift that overflows."""
+    as it already is after a drift that overflows.  A ``(C, d)`` batch of
+    trajectories raises nothing: its rows that left the finite numbers are
+    returned as they are, and the step rejects them (see
+    :func:`~invmh.core.mh_step`)."""
     # require_count's rule inline (a call of it costs ten times this check
     # on a plain int); bools fail it, as there.
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
@@ -139,7 +142,8 @@ def leapfrog(n: int, delta1: float, delta2: float, f1, f2, z: ExtendedPoint) -> 
         f = np.asarray(f2(q), dtype=float)
         impulse = delta1 * f
         v += impulse
-    _require_finite(q, v)
+    if q.ndim == 1:
+        _require_finite(q, v)
     return _point((q, v, {f2: f, (f2, delta1): impulse}))
 
 

@@ -14,7 +14,6 @@ import invmh.core
 from invmh import (
     ConfigurationError,
     HmcConfig,
-    IntegrationError,
     Involution,
     TargetPotential,
     diagonal_quadratic_metric,
@@ -110,26 +109,51 @@ class TestRowsAreSingleRuns:
         batch = assert_rows_are_single_runs(kernel, q0)
         assert any(row.accepted.any() for row in batch)
 
-    def test_a_diverging_row_is_redone_alone(self):
-        # The row far out leaves the finite numbers in every trajectory: the
-        # batch's leapfrog raises, and each row's step is redone alone.
+    def test_a_stuck_row_keeps_the_batch_whole(self):
+        # Every trajectory from the row far out leaves the finite numbers:
+        # that row is rejected in place, and each step calls the involution
+        # once, on the whole batch.
         kernel = hmc(rosenbrock(2), HmcConfig(0.1, n=3), 2)
-        raised = []
+        calls = []
         involution = kernel.involution.apply_and_log_rn
 
-        def counted(z):
-            try:
-                return involution(z)
-            except IntegrationError:
-                raised.append(z.q.ndim)
-                raise
+        def recorded(z):
+            image, log_rn = involution(z)
+            calls.append((z.q.shape, np.isfinite(image.q).all(axis=-1).tolist()))
+            return image, log_rn
 
-        kernel = replace(kernel, involution=Involution(counted))
+        kernel = replace(kernel, involution=Involution(recorded))
         q0 = np.array([[1.0, 1.0], [0.5, 0.3], [1e30, 0.0]])
+        run_chain(kernel, q0, 40, _rngs(3))
+        assert calls == [((3, 2), [True, True, False])] * 40
         batch = assert_rows_are_single_runs(kernel, q0, n_steps=40)
-        assert 2 in raised
         assert batch[0].accepted.any() and batch[1].accepted.any()
         assert not batch[2].accepted.any()
+        assert (batch[2].positions == q0[2]).all()
+
+    def test_a_row_whose_velocity_alone_overflows(self):
+        # A surrogate force that overflows at the last kick leaves a finite
+        # position and an infinite velocity, and bounded energies keep the
+        # log-RN finite: only the image's velocity shows the divergence
+        # that makes a single chain's leapfrog raise.
+        bounded = lambda x: 0.5 * np.add.reduce(np.tanh(x) ** 2, axis=-1)
+        aux = replace(gaussian_momentum(2), log_density_terms=lambda z: -bounded(z.v))
+        kernel = surrogate_hmc(
+            TargetPotential(eval=bounded), aux, HmcConfig(0.3), f1=lambda v: v,
+            f2=lambda q: -1e300 * q, dim=2,
+        )
+        velocity_only = []
+        involution = kernel.involution.apply_and_log_rn
+
+        def recorded(z):
+            image, log_rn = involution(z)
+            finite_q = np.isfinite(image.q).all(axis=-1)
+            velocity_only.append(bool((finite_q & ~np.isfinite(image.v).all(axis=-1)).any()))
+            return image, log_rn
+
+        kernel = replace(kernel, involution=Involution(recorded), batch=True)
+        assert_rows_are_single_runs(kernel, np.array([[0.5, 0.5], [0.0, 0.0], [1e-310, 0.0]]), 20)
+        assert any(velocity_only)
 
     def test_a_row_that_never_accepts(self):
         # No trajectory from (40, 0) diverges, and none is accepted.
@@ -160,6 +184,30 @@ class TestRowsAreSingleRuns:
         q0 = np.random.default_rng(1).normal(size=(2, dim))
         assert_rows_are_single_runs(kernel, q0, n_steps=3)
         assert set(states) == {(dim,)}
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            relativistic_hmc(standard_gaussian(2), 1.0, 1.0, HmcConfig(0.3), 2),
+            rmhmc(standard_gaussian(2), diagonal_quadratic_metric(), 0.3, 1, 2),
+            rwmc(standard_gaussian(2), 2, jump=gaussian_jump(2, 0.5)),
+            surrogate_hmc(
+                standard_gaussian(2), gaussian_momentum(2), HmcConfig(0.3),
+                f1=lambda v: v, f2=lambda q: -q, dim=2,
+            ),
+            pcn(hilbert_quartic({"d": 4}), delta=0.5),
+            inf_mala(hilbert_quartic({"d": 4}), 0.3),
+        ],
+        ids=["relativistic_hmc", "rmhmc", "rwmc_own_jump", "surrogate_hmc_undeclared", "pcn",
+             "inf_mala"],
+    )
+    def test_a_kernel_without_batch_runs_its_rows_alone(self, kernel, monkeypatch):
+        assert not kernel.batch
+        states = _record_states(monkeypatch)
+        q0 = np.random.default_rng(3).normal(scale=0.5, size=(3, kernel.dim))
+        batch = assert_rows_are_single_runs(kernel, q0, n_steps=30)
+        assert set(states) == {(kernel.dim,)}
+        assert any(row.accepted.any() for row in batch)
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_dense_mass_keeps_the_single_chain_arithmetic(self, dim):
@@ -208,27 +256,6 @@ class TestMisuse:
         with pytest.raises(ConfigurationError, match=match):
             run_chain(kernel, q0, 10, rngs)
         assert [rng.bit_generator.state for rng in rngs] == states
-
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            relativistic_hmc(standard_gaussian(2), 1.0, 1.0, HmcConfig(0.3), 2),
-            rmhmc(standard_gaussian(2), diagonal_quadratic_metric(), 0.3, 1, 2),
-            rwmc(standard_gaussian(2), 2, jump=gaussian_jump(2, 0.5)),
-            surrogate_hmc(
-                standard_gaussian(2), gaussian_momentum(2), HmcConfig(0.3),
-                f1=lambda v: v, f2=lambda q: -q, dim=2,
-            ),
-        ],
-        ids=["relativistic_hmc", "rmhmc", "rwmc_own_jump", "surrogate_hmc_undeclared"],
-    )
-    def test_a_kernel_that_cannot_batch(self, kernel):
-        self.assert_fails_before_any_draw(kernel, np.zeros((3, 2)), _rngs(3), "batch kernel")
-
-    def test_hilbert_kernels_cannot_batch(self):
-        target = hilbert_quartic({"d": 4})
-        for kernel in (pcn(target, delta=0.5), inf_mala(target, 0.3)):
-            self.assert_fails_before_any_draw(kernel, np.zeros((2, 4)), _rngs(2), "batch kernel")
 
     def test_generators_must_match_the_rows(self):
         kernel = mala(standard_gaussian(2), 0.5, 2)

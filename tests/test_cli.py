@@ -337,6 +337,33 @@ class TestMain:
         assert "delta2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "values, sampler, named",
+        [
+            ([1.0, 0.5], {"delta1": 1e308}, "delta2"),
+            ([1e300, 1.0], {"delta1": 1e10, "delta2": 0.5}, "delta1"),
+        ],
+        ids=["default_delta2_overflows", "kick_steps_overflow"],
+    )
+    def test_inf_hmc_steps_that_overflow_are_a_config_error(self, tmp_path, values, sampler, named):
+        # 2 * delta1 = inf crashed every chain at its first step (exit 2);
+        # delta1 * lambda = inf warned and rejected every step (exit 0).
+        config = rwmc_config(str(tmp_path / "out"), n_steps=20)
+        config["target"] = {"name": "hilbert_quartic", "eigenvalues": {"values": values}}
+        config["sampler"] = {"name": "inf_hmc", **sampler}
+        src = str(Path(invmh.cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "invmh.cli", "run", str(write_config(tmp_path, config))],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("config error: sampler: ") and named in line
+        assert not (tmp_path / "out").exists()
+
     # A config for each field, with ``x`` in one of its entries.
     LIST_FIELDS = {
         "target.variances": lambda x: ({"name": "anisotropic_gaussian", "variances": [1.0, x]}, None),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from invmh import (
     AuxLaw,
+    ConfigurationError,
     ExtendedPoint,
     HilbertTarget,
     SpectralGaussian,
@@ -500,6 +502,26 @@ class TestInfHmc:
         assert chains[0].accepted.any()
         for field in ("positions", "alphas", "accepted"):
             assert getattr(chains[0], field).tobytes() == getattr(chains[1], field).tobytes()
+
+    @pytest.mark.parametrize(
+        "eigenvalues, delta1, delta2, match",
+        [
+            ([1.0, 0.5], 1e308, None, r"delta2 \(2 \* delta1 by default\) must be finite"),
+            ([1e300, 1.0], 1e10, 0.5, "delta1 times each eigenvalue must be finite"),
+        ],
+        ids=["default_delta2_overflows", "kick_steps_overflow"],
+    )
+    def test_step_sizes_that_overflow_fail_at_construction(
+        self, eigenvalues, delta1, delta2, match
+    ):
+        # Finite step sizes whose default rotation 2 * delta1, or whose
+        # kick steps delta1 * lambda, overflow: without a check the first
+        # would fail every step and the second reject every step.
+        target = HilbertTarget(quartic_bounded_phi(2), SpectralGaussian(np.array(eigenvalues)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning
+            with pytest.raises(ConfigurationError, match=match):
+                inf_hmc(target, AuxLaw(), delta1, delta2)
 
     def test_matched_diagonal_aux_equals_reference(self, rng):
         target = default_hilbert_target(3)
